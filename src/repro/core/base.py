@@ -89,6 +89,9 @@ class CommunicationStrategy:
         return True
 
     def plan(self, pattern: CommPattern, layout: JobLayout) -> Any:
+        """Central setup; the result's ``by_rank`` maps every rank with
+        work to its per-rank plan (:func:`run_exchange` starts only
+        those ranks)."""
         raise NotImplementedError
 
     def program(self, ctx: RankContext, plan: Any,
@@ -151,25 +154,22 @@ def run_exchange(job: SimJob, strategy: CommunicationStrategy,
     if plan is None:
         plan = strategy.plan(pattern, job.layout)
 
-    def rank_program(ctx: RankContext):
-        result = yield from strategy.program(ctx, plan, data)
-        return result
-
-    job_result: JobResult = job.run(rank_program)
-    rank_times: List[float] = []
+    # Only the plan's ranks have work; every other rank's program returns
+    # ``(0.0, None)`` at t = 0 without touching a resource, so it is not
+    # started at all (same virtual times, no process or events for it).
+    job_result: JobResult = job.run(strategy.program, plan, data,
+                                    ranks=plan.by_rank)
+    rank_times = [0.0] * job.layout.size
     received: Dict[int, Dict[int, np.ndarray]] = {}
     for rank, value in enumerate(job_result.values):
         if value is None:
-            rank_times.append(0.0)
             continue
-        elapsed, delivered = value
-        rank_times.append(elapsed)
+        rank_times[rank], delivered = value
         if delivered is not None:
-            gpu = job.layout.global_gpu_of(rank)
-            received[gpu] = delivered
+            received[job.layout.global_gpu_of(rank)] = delivered
     return ExchangeResult(
         strategy=strategy.label,
-        comm_time=max(rank_times) if rank_times else 0.0,
+        comm_time=max(rank_times),
         rank_times=rank_times,
         received=received,
         stats=job_result.stats,

@@ -17,6 +17,8 @@ from repro.machine.topology import JobLayout
 from repro.models.pattern_summary import PatternSummary
 
 SendMap = Dict[int, Dict[int, np.ndarray]]
+#: ``(src_gpu, dest_node) -> (union_idx, {dest_gpu: positions})``
+DedupMaps = Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, np.ndarray]]]
 
 
 from dataclasses import dataclass
@@ -95,6 +97,8 @@ class CommPattern:
         for src, dests in self._sends.items():
             for dest, idx in dests.items():
                 self._recvs.setdefault(dest, {})[src] = idx
+        #: ``gpus_per_node -> node_dedup`` maps (see :meth:`node_dedup`)
+        self._dedup: Dict[int, DedupMaps] = {}
 
     # -- raw access ----------------------------------------------------------
     def sends_of(self, src_gpu: int) -> Dict[int, np.ndarray]:
@@ -190,8 +194,7 @@ class CommPattern:
                 active.append(src)
         return sorted(active)
 
-    def node_dedup(self, layout: JobLayout
-                   ) -> Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, np.ndarray]]]:
+    def node_dedup(self, layout: JobLayout) -> DedupMaps:
         """Duplicate-data elimination maps (paper Figure 2.2, right).
 
         For every off-node ``(src_gpu, dest_node)`` pair returns
@@ -201,20 +204,30 @@ class CommPattern:
         indices within the union stream.  Node-aware strategies send
         each union entry exactly once per node.
         """
-        node_of = self.node_of_gpu(layout)
-        out: Dict[Tuple[int, int], Tuple[np.ndarray, Dict[int, np.ndarray]]] = {}
-        per_pair: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
-        for src, dests in self._sends.items():
-            for dest, idx in dests.items():
-                if node_of[dest] == node_of[src]:
-                    continue
-                per_pair.setdefault((src, node_of[dest]), {})[dest] = idx
-        for key, by_dest in per_pair.items():
-            union = np.unique(np.concatenate(list(by_dest.values())))
-            positions = {dest: np.searchsorted(union, idx)
-                         for dest, idx in by_dest.items()}
-            out[key] = (union, positions)
-        return out
+        node_of = self.node_of_gpu(layout)  # also checks the layout's size
+        # The maps depend on the layout only through its GPUs per node and
+        # the pattern never changes, so they are computed once per value.
+        # Callers get fresh containers around read-only arrays.
+        gpn = layout.machine.gpus_per_node
+        memo = self._dedup.get(gpn)
+        if memo is None:
+            per_pair: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
+            for src, dests in self._sends.items():
+                for dest, idx in dests.items():
+                    if node_of[dest] == node_of[src]:
+                        continue
+                    per_pair.setdefault((src, node_of[dest]), {})[dest] = idx
+            memo = self._dedup[gpn] = {}
+            for key, by_dest in per_pair.items():
+                union = np.unique(np.concatenate(list(by_dest.values())))
+                union.flags.writeable = False
+                positions = {}
+                for dest, idx in by_dest.items():
+                    pos = positions[dest] = np.searchsorted(union, idx)
+                    pos.flags.writeable = False
+                memo[key] = (union, positions)
+        return {key: (union, dict(positions))
+                for key, (union, positions) in memo.items()}
 
     def dedup_node_bytes(self, layout: JobLayout) -> Dict[Tuple[int, int], int]:
         """Deduplicated bytes per off-node ``(src_gpu, dest_node)`` pair."""

@@ -13,24 +13,24 @@ respect the message cap, and receivers reassemble with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class Record:
-    """One contiguous slice of a GPU-to-GPU message."""
+    """One contiguous slice of a GPU-to-GPU message (never mutated)."""
 
-    src_gpu: int
-    dest_gpu: int
-    offset: int
-    values: np.ndarray
+    __slots__ = ("src_gpu", "dest_gpu", "offset", "values")
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
+    def __init__(self, src_gpu: int, dest_gpu: int, offset: int,
+                 values: np.ndarray) -> None:
+        if offset < 0:
+            raise ValueError(f"offset must be >= 0, got {offset}")
+        self.src_gpu = src_gpu
+        self.dest_gpu = dest_gpu
+        self.offset = offset
+        self.values = values
 
     @property
     def nbytes(self) -> int:
@@ -119,42 +119,55 @@ def assemble(records: Iterable[Record],
     ``{src_gpu: full message array}``.  Raises if records overlap,
     leave gaps, or address the wrong destination.
     """
-    out: Dict[int, np.ndarray] = {}
-    filled: Dict[int, np.ndarray] = {}
-    for src, length in expected_lengths.items():
-        out[src] = np.empty(length, dtype=dtype)
-        filled[src] = np.zeros(length, dtype=bool)
+    out = {src: np.empty(length, dtype=dtype)
+           for src, length in expected_lengths.items()}
+    #: per source, the ``[lo, hi)`` element ranges written so far
+    written: Dict[int, List[Tuple[int, int]]] = {src: [] for src in out}
     for rec in records:
         if rec.dest_gpu != dest_gpu:
             raise ValueError(
                 f"record for gpu {rec.dest_gpu} delivered to gpu {dest_gpu}"
             )
-        if rec.src_gpu not in out:
+        src = rec.src_gpu
+        buf = out.get(src)
+        if buf is None:
             raise ValueError(
-                f"unexpected source gpu {rec.src_gpu} at gpu {dest_gpu}"
+                f"unexpected source gpu {src} at gpu {dest_gpu}"
             )
-        sl = slice(rec.offset, rec.offset + rec.n)
-        if sl.stop > len(out[rec.src_gpu]):
+        lo = rec.offset
+        hi = lo + len(rec.values)
+        if hi > len(buf):
             raise ValueError(
-                f"record [{sl.start}:{sl.stop}) overruns message of "
-                f"{len(out[rec.src_gpu])} elements from gpu {rec.src_gpu}"
+                f"record [{lo}:{hi}) overruns message of "
+                f"{len(buf)} elements from gpu {src}"
             )
-        if filled[rec.src_gpu][sl].any():
-            raise ValueError(
-                f"overlapping records from gpu {rec.src_gpu} at gpu {dest_gpu}"
-            )
-        out[rec.src_gpu][sl] = rec.values
-        filled[rec.src_gpu][sl] = True
-    for src, mask in filled.items():
-        if not mask.all():
-            raise ValueError(
-                f"gpu {dest_gpu} missing data from gpu {src}: "
-                f"{int((~mask).sum())} of {len(mask)} elements"
-            )
+        if hi > lo:
+            buf[lo:hi] = rec.values
+            written[src].append((lo, hi))
+    # Coverage: sweep each source's ranges in offset order; every element
+    # must be written exactly once.  Overlaps are reported before gaps.
+    gap = None
+    for src, ranges in written.items():
+        ranges.sort()
+        end = missing = 0
+        for lo, hi in ranges:
+            if lo < end:
+                raise ValueError(
+                    f"overlapping records from gpu {src} at gpu {dest_gpu}"
+                )
+            missing += lo - end
+            end = hi
+        missing += len(out[src]) - end
+        if missing and gap is None:
+            gap = (src, missing)
+    if gap is not None:
+        raise ValueError(
+            f"gpu {dest_gpu} missing data from gpu {gap[0]}: "
+            f"{gap[1]} of {len(out[gap[0]])} elements"
+        )
     return out
 
 
-@dataclass(frozen=True)
 class NodeRecord:
     """One contiguous slice of a deduplicated GPU-to-*node* message.
 
@@ -167,14 +180,16 @@ class NodeRecord:
     the union position maps computed at plan time.
     """
 
-    src_gpu: int
-    dest_node: int
-    offset: int
-    values: np.ndarray
+    __slots__ = ("src_gpu", "dest_node", "offset", "values")
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
+    def __init__(self, src_gpu: int, dest_node: int, offset: int,
+                 values: np.ndarray) -> None:
+        if offset < 0:
+            raise ValueError(f"offset must be >= 0, got {offset}")
+        self.src_gpu = src_gpu
+        self.dest_node = dest_node
+        self.offset = offset
+        self.values = values
 
     @property
     def nbytes(self) -> int:

@@ -188,6 +188,9 @@ class JobLayout:
         self._socket_of = [p.socket for p in self._placements]
         self._gpu_of = [p.gpu for p in self._placements]
         self._local_rank_of = [p.local_rank for p in self._placements]
+        #: ``(node, on-node gpu) -> owner rank``
+        self._owner_of = {(p.node, p.gpu): p.rank
+                          for p in self._placements if p.gpu is not None}
         self._locality_rows = (self._build_locality_table()
                                if self.size <= self._LOCALITY_TABLE_MAX_SIZE
                                else None)
@@ -308,10 +311,13 @@ class JobLayout:
 
     def owner_of_gpu(self, node: int, gpu: int) -> int:
         """Rank owning on-node GPU index ``gpu`` of ``node``."""
-        for r in self.ranks_on_node(node):
-            if self._gpu_of[r] == gpu:
-                return r
-        raise ValueError(f"gpu {gpu} on node {node} has no owner (ppn too small?)")
+        rank = self._owner_of.get((node, gpu))
+        if rank is None:
+            if not 0 <= node < self.num_nodes:
+                raise ValueError(f"node {node} out of range")
+            raise ValueError(
+                f"gpu {gpu} on node {node} has no owner (ppn too small?)")
+        return rank
 
     def owner_of_global_gpu(self, global_gpu: int) -> int:
         gpn = self.machine.gpus_per_node

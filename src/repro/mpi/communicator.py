@@ -12,10 +12,9 @@ the API are *communicator-local*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.machine.locality import TransportKind
+from repro.machine.locality import Protocol, TransportKind
 from repro.mpi.buffers import DeviceBuffer, Payload, is_device, payload_nbytes
 from repro.mpi.request import Request, waitall
 from repro.mpi.transport import Transport
@@ -28,13 +27,15 @@ ANY_TAG = -1
 _COLL_TAG_BASE = 1 << 30
 
 
-@dataclass(frozen=True)
 class Message:
     """A delivered message: payload plus envelope."""
 
-    source: int
-    tag: int
-    data: Any
+    __slots__ = ("source", "tag", "data")
+
+    def __init__(self, source: int, tag: int, data: Any) -> None:
+        self.source = source
+        self.tag = tag
+        self.data = data
 
     @property
     def nbytes(self) -> int:
@@ -42,16 +43,18 @@ class Message:
 
 
 class _SendOp:
-    __slots__ = ("src", "tag", "payload", "nbytes", "kind", "t_send",
-                 "event", "timing")
+    __slots__ = ("src", "tag", "payload", "nbytes", "kind", "protocol",
+                 "t_send", "event", "timing")
 
     def __init__(self, src: int, tag: int, payload: Payload, nbytes: int,
-                 kind: TransportKind, t_send: float, event: Event) -> None:
+                 kind: TransportKind, protocol: Protocol, t_send: float,
+                 event: Event) -> None:
         self.src = src
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
         self.kind = kind
+        self.protocol = protocol
         self.t_send = t_send
         self.event = event
         self.timing = None  # resolved eagerly for eager/short, at match for rdv
@@ -172,36 +175,39 @@ class Communicator:
             raise ValueError(f"invalid tag {tag}")
         size = payload_nbytes(payload, nbytes)
         kind = TransportKind.GPU if is_device(payload) else TransportKind.CPU
+        sim = self.sim
+        now = sim._now
         # Static name: per-message f-string formatting is measurable in
         # message-heavy runs and the name is only a repr/debug aid.
-        event = Event(self.sim, name="send")
-        op = _SendOp(src_local, tag, payload, size, kind, self.sim.now, event)
-        protocol = self.transport.protocol_for(kind, size)
-        if not protocol.is_synchronous:
+        event = Event(sim, name="send")
+        transport = self.transport
+        protocol = transport.protocol_for(kind, size)
+        op = _SendOp(src_local, tag, payload, size, kind, protocol, now,
+                     event)
+        if protocol is not Protocol.RENDEZVOUS:
             # Eager/short: transfer starts now; resolve timing immediately.
-            op.timing = self.transport.resolve(
+            op.timing = timing = transport.resolve(
                 self.world_ranks[src_local], self.world_ranks[dest],
-                size, kind, t_send=op.t_send, t_match=op.t_send, tag=tag)
-            if op.timing.error is None:
-                event.succeed(None,
-                              delay=op.timing.send_complete - self.sim.now)
+                size, kind, protocol, t_send=now, t_match=now, tag=tag)
+            if timing.error is None:
+                event.succeed(None, delay=timing.send_complete - now)
             else:
                 # Exhausted retransmit budget: the send request fails at
                 # the give-up time and the error surfaces in the sender's
                 # program (never a silent hang).
-                event.fail(op.timing.error,
-                           delay=max(0.0,
-                                     op.timing.send_complete - self.sim.now))
+                event.fail(timing.error,
+                           delay=max(0.0, timing.send_complete - now))
         self._matchers[dest].post_send(op)
-        return Request(self.sim, "send", event)
+        return Request(sim, "send", event)
 
     def _irecv(self, dest_local: int, source: int, tag: int) -> Request:
         if source != ANY_SOURCE and not 0 <= source < self.size:
             raise ValueError(f"source {source} out of range for {self.name!r}")
-        event = Event(self.sim, name="recv")
-        op = _RecvOp(source, tag, self.sim.now, event)
-        self._matchers[dest_local].post_recv(op)
-        return Request(self.sim, "recv", event)
+        sim = self.sim
+        event = Event(sim, name="recv")
+        self._matchers[dest_local].post_recv(
+            _RecvOp(source, tag, sim._now, event))
+        return Request(sim, "recv", event)
 
     def _complete(self, dest_local: int, send: _SendOp, recv: _RecvOp,
                   scanned: int = 0) -> None:
@@ -211,26 +217,25 @@ class Communicator:
         match — with a nonzero transport ``queue_search_cost`` it delays
         the receiver (paper Section 2.2, ref [11]).
         """
-        now = self.sim.now
-        if send.timing is None:
+        now = self.sim._now
+        timing = send.timing
+        if timing is None:
             # Rendezvous: handshake point is the match time.
             t_match = max(send.t_send, recv.t_post, now)
-            send.timing = self.transport.resolve(
+            send.timing = timing = self.transport.resolve(
                 self.world_ranks[send.src], self.world_ranks[dest_local],
-                send.nbytes, send.kind, t_send=send.t_send, t_match=t_match,
-                tag=send.tag)
-            if send.timing.error is None:
-                send.event.succeed(None,
-                                   delay=send.timing.send_complete - now)
+                send.nbytes, send.kind, send.protocol, t_send=send.t_send,
+                t_match=t_match, tag=send.tag)
+            if timing.error is None:
+                send.event.succeed(None, delay=timing.send_complete - now)
             else:
-                send.event.fail(send.timing.error,
-                                delay=max(0.0,
-                                          send.timing.send_complete - now))
-        if send.timing.error is not None:
+                send.event.fail(timing.error,
+                                delay=max(0.0, timing.send_complete - now))
+        if timing.error is not None:
             # The message never arrives: fail the receive at the moment
             # the sender gave up, carrying the same DeliveryError.
-            recv.event.fail(send.timing.error,
-                            delay=max(0.0, send.timing.delivery - now))
+            recv.event.fail(timing.error,
+                            delay=max(0.0, timing.delivery - now))
             return
         payload = send.payload
         if isinstance(payload, DeviceBuffer):
@@ -242,10 +247,10 @@ class Communicator:
                     f"{self.name!r})"
                 )
             payload = payload.to_gpu(dest_gpu)
-        msg = Message(source=send.src, tag=send.tag, data=payload)
-        done = max(send.timing.delivery, recv.t_post)
+        done = max(timing.delivery, recv.t_post)
         done += scanned * self.transport.queue_search_cost
-        recv.event.succeed(msg, delay=max(0.0, done - now))
+        recv.event.succeed(Message(send.src, send.tag, payload),
+                           delay=max(0.0, done - now))
 
     # -- split coordination ------------------------------------------------------
     def _split(self, local: int, color: Optional[int], key: int) -> Event:

@@ -19,7 +19,8 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -120,7 +121,9 @@ class JobResult:
 
     ``elapsed`` is the job's virtual makespan; ``values`` the per-rank
     program return values; ``rank_times`` the virtual time at which each
-    rank's program finished.
+    rank's program finished.  Both lists have one entry per rank of the
+    job: ``None`` and ``0.0`` for a rank that was not started
+    (``run(ranks=...)``) or did not finish.
     """
 
     elapsed: float
@@ -246,6 +249,7 @@ class SimJob:
 
     # -- running programs ----------------------------------------------------
     def run(self, program: Callable[..., Generator], *args: Any,
+            ranks: Optional[Iterable[int]] = None,
             reuse_state: bool = False, reset_state: bool = False,
             until: Optional[float] = None,
             **kwargs: Any) -> JobResult:
@@ -256,6 +260,14 @@ class SimJob:
         instead resets the existing simulator/transport in place — the
         benchmark-sweep fast path, observably identical to a rebuild but
         without the per-point construction cost.
+
+        ``ranks`` restricts the launch to those ranks (started in
+        ascending order; default: all of them).  Ranks left out must
+        have nothing to do: no process, context or trace span is created
+        for them, which for a program that would have returned at once
+        without touching a resource changes no virtual time.  In the
+        result ``values[r] is None`` and ``rank_times[r] == 0.0`` for
+        every rank that was not started or did not finish (``until``).
         """
         if reuse_state:
             pass
@@ -264,21 +276,28 @@ class SimJob:
         else:
             self._fresh()
         size = self.layout.size
-        contexts = [RankContext(self, r) for r in range(size)]
+        started = range(size) if ranks is None else sorted(set(ranks))
+        if started and not (0 <= started[0] and started[-1] < size):
+            raise ValueError(f"ranks must lie in [0, {size}), got {started}")
+        sim = self.sim
         finish_times = [0.0] * size
 
         def wrap(ctx: RankContext) -> Generator:
             value = yield from program(ctx, *args, **kwargs)
-            finish_times[ctx.rank] = self.sim.now
+            finish_times[ctx.rank] = sim._now
             return value
 
-        procs = [self.sim.process(wrap(ctx), label=f"rank{ctx.rank}")
-                 for ctx in contexts]
-        self.sim.run(until=until, max_events=self.max_events,
-                     max_wall_seconds=self.max_wall_seconds)
+        procs = [sim.process(wrap(RankContext(self, r)), label=f"rank{r}")
+                 for r in started]
+        sim.run(until=until, max_events=self.max_events,
+                max_wall_seconds=self.max_wall_seconds)
+        values: List[Any] = [None] * size
+        for r, p in zip(started, procs):
+            if p.processed:
+                values[r] = p.value
         return JobResult(
-            elapsed=self.sim.now,
-            values=[p.value if p.processed else None for p in procs],
+            elapsed=sim.now,
+            values=values,
             rank_times=finish_times,
             stats=self.transport.stats,
         )

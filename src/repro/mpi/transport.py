@@ -110,20 +110,26 @@ class TransportStats:
         self.by_locality[locality] += 1
 
 
-@dataclass(frozen=True)
 class MessageTiming:
-    """Resolved times for one message."""
+    """Resolved times for one message (never mutated after creation)."""
 
-    protocol: Protocol
-    kind: TransportKind
-    locality: Locality
-    send_complete: float   # when the sender's request fires
-    delivery: float        # when the payload is available at the receiver
-    attempts: int = 1      # transfer attempts (1 + retransmits)
-    #: set when every attempt was lost: the DeliveryError to fail the
-    #: send/recv events with (``send_complete``/``delivery`` then hold
-    #: the give-up time)
-    error: Optional[DeliveryError] = None
+    __slots__ = ("protocol", "kind", "locality", "send_complete", "delivery",
+                 "attempts", "error")
+
+    def __init__(self, protocol: Protocol, kind: TransportKind,
+                 locality: Locality, send_complete: float, delivery: float,
+                 attempts: int = 1,
+                 error: Optional[DeliveryError] = None) -> None:
+        self.protocol = protocol
+        self.kind = kind
+        self.locality = locality
+        self.send_complete = send_complete  # when the sender's request fires
+        self.delivery = delivery    # when the payload is at the receiver
+        self.attempts = attempts    # transfer attempts (1 + retransmits)
+        #: set when every attempt was lost: the DeliveryError to fail the
+        #: send/recv events with (``send_complete``/``delivery`` then hold
+        #: the give-up time)
+        self.error = error
 
 
 @dataclass(frozen=True)
@@ -334,7 +340,7 @@ class Transport:
         return self.layout.locality(src, dest)
 
     def protocol_for(self, kind: TransportKind, nbytes: int) -> Protocol:
-        return self.machine.comm_params.thresholds.select(kind, nbytes)
+        return self._select_protocol(kind, nbytes)
 
     # -- costing ------------------------------------------------------------------
     def postal_cost(self, kind: TransportKind, locality: Locality,
@@ -345,19 +351,21 @@ class Transport:
         return protocol, link.time(nbytes)
 
     def resolve(self, src: int, dest: int, nbytes: int,
-                kind: TransportKind, t_send: float,
+                kind: TransportKind, protocol: Protocol, t_send: float,
                 t_match: float, tag: int = 0) -> MessageTiming:
         """Compute and book the timing of one matched message.
 
         ``t_match`` is the time the handshake point is reached (for
         rendezvous this is ``max(send, recv posted)``; eager/short pass
         ``t_send``).  NIC bookings happen here, in call order, so the
-        simulation is deterministic.
+        simulation is deterministic.  ``protocol`` is what
+        :meth:`protocol_for` returns for ``(kind, nbytes)``: the caller
+        needs it first, to know whether to resolve at send or at match.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         locality = self.layout.locality(src, dest)
-        protocol = self._select_protocol(kind, nbytes)
+        synchronous = protocol is Protocol.RENDEZVOUS
         link = self._route[(kind, locality, protocol)]
         alpha = link.alpha
         base = alpha + link.beta * nbytes
@@ -369,7 +377,7 @@ class Transport:
             if straggle != 1.0:
                 base *= straggle
 
-        ready = t_match if protocol.is_synchronous else t_send
+        ready = t_match if synchronous else t_send
         start = max(ready, self._pipe_free[src])
         # Pipe occupancy: serializing CPU overhead + per-byte transport;
         # the remaining (1 - o) * alpha of latency overlaps across sends.
@@ -390,13 +398,9 @@ class Transport:
             delivery, attempts, error = self._resolve_attempts(
                 src, dest, nbytes, kind, protocol, locality, start, alpha,
                 base)
-        if error is not None:
-            # Both sides learn of the drop at the give-up time.
-            send_complete = delivery
-        elif protocol.is_synchronous:
-            send_complete = delivery
-        else:
-            send_complete = start + alpha
+        # A drop is learnt of by both sides at the give-up time.
+        send_complete = (delivery if synchronous or error is not None
+                         else start + alpha)
         self.stats.record(protocol, locality, nbytes)
         tracer = self.sim.tracer
         if self.trace_enabled or tracer.enabled:
@@ -420,15 +424,8 @@ class Transport:
                           "locality": locality.name,
                           "send_complete": send_complete,
                           "delivery": delivery})
-        return MessageTiming(
-            protocol=protocol,
-            kind=kind,
-            locality=locality,
-            send_complete=send_complete,
-            delivery=delivery,
-            attempts=attempts,
-            error=error,
-        )
+        return MessageTiming(protocol, kind, locality, send_complete,
+                             delivery, attempts, error)
 
     def _resolve_attempts(self, src: int, dest: int, nbytes: int,
                           kind: TransportKind, protocol: Protocol,

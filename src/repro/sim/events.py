@@ -166,12 +166,13 @@ class _Condition(Event):
         if not self.events:
             self.succeed(self._collect())
             return
+        child_fired = self._child_fired  # one bound method for all children
         for ev in self.events:
-            if ev.processed:
+            if ev._state is _PROCESSED:
                 # Fired before we subscribed: account for it immediately.
-                self._child_fired(ev)
+                child_fired(ev)
             else:
-                ev.callbacks.append(self._child_fired)
+                ev.callbacks.append(child_fired)
 
     def _collect(self) -> List[Any]:
         return [ev.value for ev in self.events if ev.processed and ev.ok]
@@ -179,9 +180,9 @@ class _Condition(Event):
     def _child_fired(self, event: Event) -> None:
         if self._done:
             return
-        if not event.ok:
+        if not event._ok:
             self._done = True
-            self.fail(event.value)
+            self.fail(event._value)
             return
         self._n_fired += 1
         if self._check():
@@ -204,7 +205,7 @@ class AllOf(_Condition):
         return self._n_fired == len(self.events)
 
     def _collect(self) -> List[Any]:
-        return [ev.value for ev in self.events]
+        return [ev._value for ev in self.events]
 
 
 class AnyOf(_Condition):

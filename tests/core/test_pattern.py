@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pattern import CommPattern
-from repro.machine import JobLayout, lassen
+from repro.machine import JobLayout, lassen, summit
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +125,51 @@ class TestDedup:
     def test_on_node_messages_not_deduped(self, layout):
         p = CommPattern(12, {0: {1: np.array([0, 1])}})
         assert p.node_dedup(layout) == {}
+
+    @staticmethod
+    def _same_dedup(a, b):
+        assert a.keys() == b.keys()
+        for key, (union, pos) in a.items():
+            assert np.array_equal(union, b[key][0])
+            assert pos.keys() == b[key][1].keys()
+            for dest, where in pos.items():
+                assert np.array_equal(where, b[key][1][dest])
+
+    def test_memo_is_per_gpus_per_node(self):
+        # The memo is keyed by the only layout property node_dedup reads:
+        # 4 GPUs per node (lassen) and 6 (summit) group gpu 4 and 5
+        # differently, in either call order.
+        sends = {0: {4: np.array([0, 2, 4]), 5: np.array([2, 3]),
+                     6: np.array([1, 2])},
+                 7: {0: np.array([5, 9])}}
+        layouts = [JobLayout(lassen(), 2, 8), JobLayout(summit(), 2, 12)]
+        for order in (layouts, layouts[::-1]):
+            p = CommPattern(8, sends)
+            for lay in order + order:
+                self._same_dedup(p.node_dedup(lay),
+                                 CommPattern(8, sends).node_dedup(lay))
+        assert set(p.node_dedup(layouts[0])) == {(0, 1), (7, 0)}
+        assert set(p.node_dedup(layouts[1])) == {(0, 1), (7, 0)}
+        assert set(p.node_dedup(layouts[0])[(0, 1)][1]) == {4, 5, 6}
+        assert set(p.node_dedup(layouts[1])[(0, 1)][1]) == {6}
+
+    def test_memo_still_checks_the_layout_size(self):
+        p = CommPattern(12, {0: {4: np.array([0])}})
+        p.node_dedup(JobLayout(lassen(), 3, 4))        # fills the memo
+        with pytest.raises(ValueError, match="spans"):
+            p.node_dedup(JobLayout(lassen(), 2, 4))    # same gpus_per_node
+
+    def test_callers_cannot_corrupt_the_memo(self, layout):
+        sends = {0: {4: np.array([0, 2, 4]), 5: np.array([2, 3, 4])}}
+        p = CommPattern(12, sends)
+        first = p.node_dedup(layout)
+        union, pos = first[(0, 1)]
+        with pytest.raises(ValueError):
+            union[0] = 99
+        with pytest.raises(ValueError):
+            pos[4][0] = 99
+        pos.clear()
+        first.clear()
+        first[(9, 9)] = None
+        self._same_dedup(p.node_dedup(layout),
+                         CommPattern(12, sends).node_dedup(layout))

@@ -100,8 +100,53 @@ class TestAssemble:
         with pytest.raises(ValueError, match="overruns"):
             assemble([Record(0, 1, 3, np.zeros(5))], {0: 4}, dest_gpu=1)
 
+    def test_gap_between_records_detected(self):
+        recs = [Record(0, 1, 6, np.zeros(4)), Record(0, 1, 0, np.zeros(4))]
+        with pytest.raises(ValueError, match="missing data from gpu 0: "
+                                             "2 of 10"):
+            assemble(recs, {0: 10}, dest_gpu=1)
+
+    def test_source_without_records_detected(self):
+        with pytest.raises(ValueError, match="missing data from gpu 2"):
+            assemble([Record(0, 1, 0, np.zeros(3))], {0: 3, 2: 1},
+                     dest_gpu=1)
+
+    def test_duplicate_record_is_an_overlap(self):
+        recs = [Record(0, 1, 0, np.zeros(4)), Record(0, 1, 0, np.zeros(4))]
+        with pytest.raises(ValueError, match="overlap"):
+            assemble(recs, {0: 4}, dest_gpu=1)
+
+    def test_overlap_reported_before_another_sources_gap(self):
+        recs = [Record(0, 1, 0, np.zeros(2)),                     # gap
+                Record(2, 1, 1, np.zeros(3)), Record(2, 1, 0, np.zeros(2))]
+        with pytest.raises(ValueError, match="overlapping records from "
+                                             "gpu 2"):
+            assemble(recs, {0: 4, 2: 4}, dest_gpu=1)
+
+    def test_zero_length_records_accepted_anywhere(self):
+        full = np.arange(6.0)
+        empty = np.empty(0)
+        recs = [Record(0, 1, 3, empty), Record(0, 1, 0, full),
+                Record(0, 1, 6, empty), Record(2, 1, 0, empty)]
+        out = assemble(recs, {0: 6, 2: 0}, dest_gpu=1)
+        assert np.array_equal(out[0], full) and len(out[2]) == 0
+        with pytest.raises(ValueError, match="overruns"):
+            assemble([Record(0, 1, 7, empty)], {0: 6}, dest_gpu=1)
+
+    def test_out_of_order_chunked_slices_reassemble(self):
+        full = np.arange(50.0)
+        chunks = chunk_records([Record(3, 7, 0, full)], cap_bytes=7 * 8)
+        recs = [r for chunk in reversed(chunks) for r in chunk]
+        assert len(recs) == 8
+        out = assemble(recs, {3: 50}, dest_gpu=7)
+        assert np.array_equal(out[3], full)
+
 
 class TestNodeRecords:
+    def test_negative_offset_rejected(self):
+        with pytest.raises(ValueError, match="offset"):
+            NodeRecord(0, 1, -1, np.zeros(1))
+
     def test_expand_full_union(self):
         union_vals = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
         nrec = NodeRecord(0, 1, 0, union_vals)

@@ -108,8 +108,28 @@ class TestJobLayout:
 
     def test_owner_of_gpu_missing(self, m):
         lay = JobLayout(m, num_nodes=1, ppn=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no owner"):
             lay.owner_of_gpu(0, 7)
+        with pytest.raises(ValueError, match="no owner"):
+            lay.owner_of_gpu(0, -1)
+
+    def test_owner_of_gpu_node_out_of_range(self, m):
+        lay = JobLayout(m, num_nodes=2, ppn=4)
+        for node in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                lay.owner_of_gpu(node, 0)
+        for gpu in (8, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                lay.owner_of_global_gpu(gpu)
+
+    def test_owner_table_matches_a_scan(self, all_machines):
+        for machine in all_machines:
+            lay = JobLayout(machine, num_nodes=3, ppn=machine.max_ppn)
+            for node in range(3):
+                for gpu in range(machine.gpus_per_node):
+                    scan = [r for r in lay.ranks_on_node(node)
+                            if lay.gpu_of(r) == gpu]
+                    assert [lay.owner_of_gpu(node, gpu)] == scan
 
     def test_host_team_on_socket(self, m):
         lay = JobLayout(m, num_nodes=1, ppn=40)

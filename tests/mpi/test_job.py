@@ -82,6 +82,51 @@ class TestJobResults:
             job.run_repeated(lambda ctx: iter(()), reps=0)
 
 
+def two_full_nodes():
+    return SimJob(lassen(), num_nodes=2, ppn=40)
+
+
+def echo_rank(ctx):
+    yield ctx.timeout(1e-6 * (ctx.rank + 1))
+    return ctx.rank
+
+
+class TestRunRanks:
+    def test_default_starts_every_rank(self):
+        job = two_full_nodes()
+        result = job.run(echo_rank)
+        assert result.values == list(range(80))
+        assert len(job.sim._processes) == 80
+
+    def test_subset_reports_none_and_zero_for_the_rest(self):
+        job = two_full_nodes()
+        result = job.run(echo_rank, ranks=[41, 3, 3])   # any order, deduped
+        assert len(job.sim._processes) == 2
+        assert [r for r, v in enumerate(result.values) if v is not None] \
+            == [3, 41]
+        assert result.values[3] == 3 and result.values[41] == 41
+        assert result.rank_times[3] == 4e-6 and result.rank_times[41] == 42e-6
+        assert all(t == 0.0 for r, t in enumerate(result.rank_times)
+                   if r not in (3, 41))
+        assert result.elapsed == 42e-6
+
+    def test_unfinished_rank_reports_none_and_zero(self):
+        result = two_full_nodes().run(echo_rank, ranks=[0, 9],
+                                      until=5e-6)
+        assert result.values[0] == 0 and result.values[9] is None
+        assert result.rank_times[9] == 0.0
+
+    def test_empty_selection_runs_nothing(self):
+        job = two_full_nodes()
+        result = job.run(echo_rank, ranks=[])
+        assert result.values == [None] * 80 and result.elapsed == 0.0
+
+    @pytest.mark.parametrize("ranks", [[80], [-1, 2]])
+    def test_out_of_range_rank_rejected(self, ranks):
+        with pytest.raises(ValueError, match="ranks must lie in"):
+            two_full_nodes().run(echo_rank, ranks=ranks)
+
+
 class TestNoise:
     def _one_way(self, job):
         def program(ctx):
