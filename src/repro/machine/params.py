@@ -117,6 +117,28 @@ class CommParams:
                 raise ValueError(
                     "GPU transport has no short protocol (paper Section 3)"
                 )
+        # The link table: per (kind, locality, pre_posted) the two size
+        # limits and three (alpha, beta) pairs in the order of
+        # ProtocolThresholds.select.  GPU paths have no short protocol
+        # (a never-true first limit); a pre-posted channel's rendezvous
+        # pair is eager alpha + rendezvous beta (persistent_link).
+        th, rows = self.thresholds, {}
+        for kind, limits in ((TransportKind.CPU,
+                              (th.short_limit, th.eager_limit)),
+                             (TransportKind.GPU,
+                              (-np.inf, th.gpu_eager_limit))):
+            for loc in Locality:
+                eager = self.link(kind, Protocol.EAGER, loc)
+                rend = self.link(kind, Protocol.RENDEZVOUS, loc)
+                first = self.table.get((kind, Protocol.SHORT, loc), eager)
+                for pre_posted in (False, True):
+                    last = eager if pre_posted else rend
+                    row = np.array([*limits, first.alpha, eager.alpha,
+                                    last.alpha, first.beta, eager.beta,
+                                    rend.beta], dtype=float)
+                    row.flags.writeable = False
+                    rows[kind, loc, pre_posted] = row
+        object.__setattr__(self, "_link_rows", rows)
 
     @staticmethod
     def required_keys() -> Tuple[CommKey, ...]:
@@ -169,41 +191,54 @@ class CommParams:
         _protocol, link = self.for_message(kind, locality, nbytes)
         return link.time(nbytes)
 
+    def link_table(self, kind: TransportKind, locality: Locality,
+                   pre_posted: bool = False, alpha_scale: float = 1.0,
+                   beta_scale: float = 1.0) -> np.ndarray:
+        """Table 2 for one path as a :func:`select_links` row.
+
+        The scales (a locality tier's) multiply the row's constants.
+        """
+        row = self._link_rows[kind, locality, pre_posted]
+        if alpha_scale != 1.0 or beta_scale != 1.0:
+            row = row.copy()
+            row[2:5] *= alpha_scale
+            row[5:] *= beta_scale
+        return row
+
     def link_arrays(self, kind: TransportKind, locality: Locality,
                     sizes: np.ndarray,
                     pre_posted: bool = False
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-element Table-2 ``(alpha, beta)`` for a size array.
 
-        The array counterpart of :meth:`for_message` — the single
-        protocol-resolution entry point for the vectorized costing
-        kernel.  The ``np.select`` condition order replicates the
-        scalar threshold chain in :meth:`ProtocolThresholds.select`
-        (first true wins), so per-element results are bit-identical to
-        scalar selection.  ``pre_posted=True`` mirrors
-        :meth:`persistent_link` element-wise.
+        The array counterpart of :meth:`for_message`
+        (``pre_posted=True``: of :meth:`persistent_link`), bit-identical
+        to it per element.
         """
-        th = self.thresholds
-        if np.any(sizes < 0):
-            raise ValueError("message sizes must be >= 0")
-        if kind is TransportKind.GPU:
-            protocols = (Protocol.EAGER, Protocol.RENDEZVOUS)
-            conds = [sizes <= th.gpu_eager_limit]
-        else:
-            protocols = (Protocol.SHORT, Protocol.EAGER, Protocol.RENDEZVOUS)
-            conds = [sizes <= th.short_limit, sizes <= th.eager_limit]
-        links = [self.link(kind, p, locality) for p in protocols]
-        if pre_posted:
-            # Persistent channels: rendezvous (the np.select default)
-            # pays the eager latency, keeps the rendezvous bandwidth.
-            eager = self.link(kind, Protocol.EAGER, locality)
-            rend = links[-1]
-            links = links[:-1] + [LinkParams(eager.alpha, rend.beta)]
-        alpha = np.select(conds, [l.alpha for l in links[:-1]],
-                          default=links[-1].alpha)
-        beta = np.select(conds, [l.beta for l in links[:-1]],
-                         default=links[-1].beta)
-        return alpha, beta
+        return select_links(self.link_table(kind, locality, pre_posted), sizes)
+
+
+def select_links(rows: np.ndarray, sizes: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(alpha, beta)`` per element of ``sizes`` from link-table rows.
+
+    A row is ``(limit0, limit1, a0, a1, a2, b0, b1, b2)``: sizes
+    ``<= limit0`` take pair 0, else ``<= limit1`` pair 1, else (NaN
+    included) pair 2 — the threshold chain of
+    :meth:`ProtocolThresholds.select`, first true wins.  ``rows[..., k]``
+    broadcasts against ``sizes``; the result is a choice among the
+    row's constants, no arithmetic.  Negative sizes raise ``ValueError``.
+    """
+    if np.any(sizes < 0):
+        raise ValueError("message sizes must be >= 0")
+    low, mid = sizes <= rows[..., 0], sizes <= rows[..., 1]
+    alpha, beta = np.empty(low.shape), np.empty(low.shape)
+    for out, k in ((alpha, 2), (beta, 5)):
+        # last write wins, so the first true limit does
+        out[...] = rows[..., k + 2]
+        np.copyto(out, rows[..., k + 1], where=mid)
+        np.copyto(out, rows[..., k], where=low)
+    return alpha, beta
 
 
 CopyKey = Tuple[CopyDirection, int]
@@ -229,18 +264,23 @@ class CopyParams:
         for (_direction, nproc) in self.table:
             if nproc < 1:
                 raise ValueError(f"invalid process count {nproc} in CopyParams")
+        object.__setattr__(self, "_links", {})  # (direction, nproc) -> link
 
     def measured_counts(self, direction: CopyDirection) -> Tuple[int, ...]:
         return tuple(sorted(n for (d, n) in self.table if d is direction))
 
     def link(self, direction: CopyDirection, nproc: int = 1) -> LinkParams:
         """Parameters for ``nproc`` processes copying concurrently."""
-        if nproc < 1:
-            raise ValueError(f"nproc must be >= 1, got {nproc}")
-        counts = self.measured_counts(direction)
-        chosen = max(n for n in counts if n <= nproc) if any(
-            n <= nproc for n in counts) else counts[0]
-        return self.table[(direction, chosen)]
+        link = self._links.get((direction, nproc))
+        if link is None:
+            if nproc < 1:
+                raise ValueError(f"nproc must be >= 1, got {nproc}")
+            # the 1-process row always exists, so max() has a candidate
+            chosen = max(n for n in self.measured_counts(direction)
+                         if n <= nproc)
+            link = self._links[direction, nproc] = self.table[
+                (direction, chosen)]
+        return link
 
     def time(self, direction: CopyDirection, nbytes: float,
              nproc: int = 1) -> float:

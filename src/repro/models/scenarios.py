@@ -128,28 +128,36 @@ def _joint_scenario_batch(machine: MachineSpec,
     """One flat ``(scenarios x sizes)`` batch plus its keep-fraction row.
 
     Field ``c * len(sizes) + z`` holds scenario ``c`` at size ``z`` —
-    exactly the concatenation of the per-scenario batches, so every
-    per-element quantity (and hence every fused cost) is bit-identical
-    to evaluating the scenarios one at a time.  ``keep`` carries
-    ``1.0 - dup_fraction`` per element for the node-aware byte scaling.
+    field-wise the concatenation of :func:`scenario_summary_batch` over
+    the scenarios (same factor times the same size per element, counts
+    repeated), so every fused cost is bit-identical to evaluating the
+    scenarios one at a time.  ``keep`` carries ``1.0 - dup_fraction``
+    per element for the node-aware byte scaling.
     """
-    batches = [scenario_summary_batch(machine, sc, sizes)
-               for sc in scenarios]
+    if np.any(sizes < 0):
+        raise ValueError("msg sizes must be >= 0")
+    gpn = max(machine.gpus_per_node, 1)
+    n = np.array([sc.num_dest_nodes for sc in scenarios], dtype=int)
+    m = np.array([sc.num_messages for sc in scenarios], dtype=int)
+    per_proc = np.ceil(m / gpn).astype(int)
+
+    def counts(per_scenario) -> np.ndarray:
+        return np.repeat(per_scenario, sizes.size)
+
+    def volumes(per_scenario) -> np.ndarray:
+        return np.multiply.outer(per_scenario, sizes).ravel()
+
     joint = SummaryBatch(
-        num_dest_nodes=np.concatenate([b.num_dest_nodes for b in batches]),
-        messages_per_node_pair=np.concatenate(
-            [b.messages_per_node_pair for b in batches]),
-        bytes_per_node_pair=np.concatenate(
-            [b.bytes_per_node_pair for b in batches]),
-        node_bytes=np.concatenate([b.node_bytes for b in batches]),
-        proc_bytes=np.concatenate([b.proc_bytes for b in batches]),
-        proc_messages=np.concatenate([b.proc_messages for b in batches]),
-        proc_dest_nodes=np.concatenate(
-            [b.proc_dest_nodes for b in batches]),
-        active_gpus=np.concatenate([b.active_gpus for b in batches]),
+        num_dest_nodes=counts(n),
+        messages_per_node_pair=counts(np.ceil(m / n).astype(int)),
+        bytes_per_node_pair=volumes(m / n),
+        node_bytes=volumes(m.astype(float)),
+        proc_bytes=volumes(m / gpn),
+        proc_messages=counts(per_proc),
+        proc_dest_nodes=counts(np.minimum(n, per_proc)),
+        active_gpus=np.full(n.size * sizes.size, gpn, dtype=int),
     )
-    keep = np.concatenate([
-        np.full(sizes.shape, 1.0 - sc.dup_fraction) for sc in scenarios])
+    keep = counts(np.array([1.0 - sc.dup_fraction for sc in scenarios]))
     return joint, keep
 
 

@@ -17,8 +17,8 @@ axis lives in :meth:`repro.machine.params.CommParams.link_arrays`.
 
 Bit-exactness contract: the kernel applies the *same* floating-point
 operations in the *same* order for both algebras, with branches
-replaced by ``np.select`` / ``np.where`` whose branch order mirrors the
-scalar ``if`` chains.  ``StrategyModel.time_sweep`` therefore returns
+replaced by ``np.where`` chains whose branch order mirrors the scalar
+``if`` chains.  ``StrategyModel.time_sweep`` therefore returns
 values bit-identical to point-wise ``StrategyModel.time`` calls (pinned
 by ``tests/models/test_vectorized.py``).
 """
@@ -26,11 +26,11 @@ by ``tests/models/test_vectorized.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from repro.machine.locality import Locality, TransportKind
+from repro.machine.locality import TransportKind
 from repro.machine.topology import MachineSpec
 from repro.models.pattern_summary import PatternSummary
 from repro.paths.compile import (
@@ -99,19 +99,6 @@ class SummaryBatch:
             node_bytes=self.node_bytes * keep,
             proc_bytes=self.proc_bytes * keep,
         )
-
-
-# ---------------------------------------------------------------------------
-# Protocol selection over a size axis
-# ---------------------------------------------------------------------------
-def link_select(machine: MachineSpec, kind: TransportKind, locality: Locality,
-                sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-element Table-2 ``(alpha, beta)`` for a size array.
-
-    Delegates to :meth:`repro.machine.params.CommParams.link_arrays`,
-    the kernel's single protocol-resolution entry point.
-    """
-    return machine.comm_params.link_arrays(kind, locality, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.machine.locality import TransportKind
+from repro.machine.params import select_links
 from repro.machine.topology import MachineSpec
 from repro.paths.ir import Hop, HopKind, HopPlan, HopStage, Serialization
 
@@ -313,15 +314,28 @@ def _fill(out: np.ndarray, value: Any) -> None:
     out[...] = arr
 
 
+def _link_row(machine: MachineSpec, hop: Hop) -> np.ndarray:
+    """The hop's link-table row, its constants scaled by the hop's tier."""
+    scales = ()
+    if hop.tier is not None:
+        tier = machine.locality_hierarchy[hop.tier]
+        scales = (tier.alpha_scale, tier.beta_scale)
+    return machine.comm_params.link_table(hop.kind.transport_kind,
+                                          hop.locality, hop.pre_posted,
+                                          *scales)
+
+
 def stack_plans(machine: MachineSpec, plans: Sequence[HopPlan],
                 n: Optional[int] = None) -> FusedPlans:
     """Lower compiled plans into padded :class:`FusedPlans` tensors.
 
     ``n`` is the element width; inferred from the first array-valued hop
-    quantity when omitted (``1`` for all-scalar plans).  Protocol
-    selection (Table-2 alpha/beta per individual message size) happens
-    here, once per real hop slot, via the same ``link_arrays`` chain the
-    ARRAY_OPS kernel uses — so the tensors are a pure re-layout, not a
+    quantity when omitted (``1`` for all-scalar plans).  The hop loop
+    records each send slot's link-table row (resolved once per distinct
+    ``(kind, locality, pre_posted, tier)``); protocol selection —
+    Table-2 alpha/beta per individual message size — then runs once over
+    all send slots through the same ``select_links`` the ARRAY_OPS
+    kernel uses, so the tensors are a pure re-layout, not a
     re-derivation.
     """
     plans = list(plans)
@@ -336,6 +350,8 @@ def stack_plans(machine: MachineSpec, plans: Sequence[HopPlan],
     rate_node = nic.injection_rate * nic.nics_per_node
     alpha = np.zeros(shape)
     beta = np.zeros(shape)
+    link_rows: dict = {}
+    sends, send_rows = [], []   # (s, t, h) of each send slot, and its row
     count = np.zeros(shape)
     nbytes = np.zeros(shape)
     total_bytes = np.zeros(shape)
@@ -361,17 +377,12 @@ def stack_plans(machine: MachineSpec, plans: Sequence[HopPlan],
                     beta[s, t, h] = link.beta
                     count[s, t, h] = 1.0  # MEMCPY = SEQUENTIAL with count 1
                 else:
-                    a, b = machine.comm_params.link_arrays(
-                        hop.kind.transport_kind, hop.locality,
-                        nbytes[s, t, h], pre_posted=hop.pre_posted)
-                    if hop.tier is not None:
-                        tier = machine.locality_hierarchy[hop.tier]
-                        if tier.alpha_scale != 1.0:
-                            a = tier.alpha_scale * a
-                        if tier.beta_scale != 1.0:
-                            b = tier.beta_scale * b
-                    alpha[s, t, h] = a
-                    beta[s, t, h] = b
+                    key = (hop.kind, hop.locality, hop.pre_posted, hop.tier)
+                    row = link_rows.get(key)
+                    if row is None:
+                        row = link_rows[key] = _link_row(machine, hop)
+                    sends.append((s, t, h))
+                    send_rows.append(row)
                     _fill(count[s, t, h], hop.count)
                     if hop.serialization is Serialization.MAX_RATE:
                         _fill(total_bytes[s, t, h], hop.total_bytes)
@@ -388,6 +399,10 @@ def stack_plans(machine: MachineSpec, plans: Sequence[HopPlan],
                             is_gpu_mr[s, t, h, 0] = True
                 enabled[s, t, h] = (True if hop.enabled is True
                                     else np.asarray(hop.enabled, dtype=bool))
+    if sends:
+        at = tuple(np.array(sends).T)
+        alpha[at], beta[at] = select_links(np.array(send_rows)[:, None],
+                                           nbytes[at])
     return FusedPlans(
         labels=tuple(p.strategy for p in plans),
         alpha=alpha, beta=beta, count=count, nbytes=nbytes,

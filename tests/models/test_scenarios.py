@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from repro.machine import lassen
+from repro.machine import lassen, resolve_machine
 from repro.models.scenarios import (
     PAPER_SCENARIOS,
     Scenario,
+    _joint_scenario_batch,
     best_strategy,
     scenario_summary,
+    scenario_summary_batch,
     sweep_scenario,
 )
 
@@ -56,6 +58,44 @@ class TestSweep:
             assert (series > 0).all()
             # monotone nondecreasing in message size
             assert (np.diff(series) >= -1e-15).all()
+
+
+class TestJointBatch:
+    """The broadcast ``(scenarios x sizes)`` batch is field-wise the
+    concatenation of the per-scenario batches, dtype included."""
+
+    MIXED = PAPER_SCENARIOS + (
+        Scenario(num_dest_nodes=16, num_messages=256, dup_fraction=0.25),
+        Scenario(num_dest_nodes=7, num_messages=300, dup_fraction=0.4),
+        # fewer messages than GPUs on a node
+        Scenario(num_dest_nodes=1, num_messages=1),
+        Scenario(num_dest_nodes=2, num_messages=3, dup_fraction=0.1),
+    )
+
+    @pytest.mark.parametrize("machine_name", ["lassen", "frontier_like"])
+    @pytest.mark.parametrize("sizes", [np.logspace(0, 7, 23),
+                                       np.array([4096.0]),
+                                       np.array([0.0, 1.0 / 3.0])])
+    def test_fieldwise_equal_to_concatenation(self, machine_name, sizes):
+        machine = resolve_machine(machine_name)
+        assert any(sc.num_messages < machine.gpus_per_node
+                   for sc in self.MIXED)
+        joint, keep = _joint_scenario_batch(machine, self.MIXED, sizes)
+        batches = [scenario_summary_batch(machine, sc, sizes)
+                   for sc in self.MIXED]
+        for f in fields(joint):
+            want = np.concatenate([getattr(b, f.name) for b in batches])
+            got = getattr(joint, f.name)
+            assert got.dtype == want.dtype, f.name
+            assert np.array_equal(got, want), f.name
+        want_keep = np.concatenate([np.full(sizes.shape, 1.0 - sc.dup_fraction)
+                                    for sc in self.MIXED])
+        assert keep.dtype == want_keep.dtype
+        assert np.array_equal(keep, want_keep)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="msg sizes must be >= 0"):
+            _joint_scenario_batch(M, PAPER_SCENARIOS, np.array([8.0, -8.0]))
 
 
 class TestPaperShape:

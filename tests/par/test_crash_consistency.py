@@ -79,9 +79,12 @@ def _run_and_kill(tmp_path, state, start_method):
     script.write_text(_CHILD.format(src=os.path.abspath(src),
                                     workdir=str(state), n=N_TASKS,
                                     start_method=start_method))
+    # its own session, so the kill reaches the pool workers too: a
+    # SIGKILLed interpreter cannot stop its children itself
     proc = subprocess.Popen([sys.executable, str(script)],
                             stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+                            stderr=subprocess.DEVNULL,
+                            start_new_session=True)
     try:
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
@@ -91,10 +94,21 @@ def _run_and_kill(tmp_path, state, start_method):
             if proc.poll() is not None:
                 break
             time.sleep(0.02)
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
     finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the whole group is already gone
         proc.wait(timeout=60.0)
+    # the orphaned workers are reaped by init; until then the group exists
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.02)
+    pytest.fail("sweep workers outlived the kill")
 
 
 def _journal_done(state):
