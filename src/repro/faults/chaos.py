@@ -48,6 +48,7 @@ run didn't checkpoint.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -137,9 +138,9 @@ def build_scenarios(seed: int, n_scenarios: int) -> List[FaultPlan]:
     """All fault plans of one sweep, in index order.
 
     One shared generator is consumed across indices (scenario ``i``
-    depends on the draws of scenarios ``0..i-1``), so workers rebuild
-    the full list and pick their index — cheap, and bit-identical to
-    the serial construction.
+    depends on the draws of scenarios ``0..i-1``), so a worker needs
+    the full list to pick its index — bit-identical to the serial
+    construction; :func:`_scenario_inputs` keeps it per process.
     """
     rng = np.random.default_rng(seed)
     return [build_scenario(index, rng) for index in range(n_scenarios)]
@@ -153,6 +154,41 @@ def _scenario_pattern(seed: int, index: int):
         num_gpus=NUM_GPUS, local_n=4096, messages_per_gpu=3,
         msg_elems=MSG_ELEMS[index % len(MSG_ELEMS)],
         seed=seed * 1000 + index)
+
+
+@functools.lru_cache(maxsize=2)
+def _scenario_plans(seed: int, n_scenarios: int) -> Tuple[FaultPlan, ...]:
+    """:func:`build_scenarios`, once per sweep and process."""
+    return tuple(build_scenarios(seed, n_scenarios))
+
+
+@functools.lru_cache(maxsize=2)
+def _scenario_inputs(seed: int, n_scenarios: int, index: int,
+                     machine_name: str):
+    """``(machine, fault plan, pattern, layout, payload data)`` of one
+    scenario — what its 13 strategies x 2 arms share.
+
+    A per-process memo of a pure function, keyed on every input the
+    value depends on (the data depends on the machine through
+    ``layout.num_gpus``).  Sweeps walk tasks scenario-major, so two
+    entries are enough.  Nothing in it is written by a run: jobs fork
+    the plan, pattern and layout are only read, and the payload arrays
+    are read-only, so a strategy program that writes into ``data`` in
+    place raises (a ``crash``) instead of corrupting the ground truth
+    the delivery is verified against.
+    """
+    from repro.core.base import default_data
+    from repro.machine.presets import resolve_machine
+    from repro.machine.topology import JobLayout
+
+    machine = resolve_machine(machine_name)
+    pattern = _scenario_pattern(seed, index)
+    layout = JobLayout(machine, NUM_NODES, PPN)
+    data = default_data(pattern, layout)
+    for array in data:
+        array.flags.writeable = False
+    return (machine, _scenario_plans(seed, n_scenarios)[index], pattern,
+            layout, tuple(data))
 
 
 def _check_conservation(job, violations: List[str], where: str) -> None:
@@ -202,8 +238,6 @@ def _phase_profile(job) -> Dict[str, Dict[str, Any]]:
     put in the deterministic section of the run ledger / report).
     """
     profile: Dict[str, Dict[str, Any]] = {}
-    if job.tracer is None:
-        return profile
     for span in job.tracer.spans:
         if span.cat != "phase":
             continue
@@ -213,19 +247,19 @@ def _phase_profile(job) -> Dict[str, Dict[str, Any]]:
     return profile
 
 
-def _run_once(machine, plan: FaultPlan, pattern, strategy,
-              tracer: bool, violations: List[str],
-              where: str
-              ) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
-    """One (scenario, strategy) run.
+def _run_once(machine, plan: FaultPlan, pattern, strategy, data,
+              strategy_plan, tracer: bool, violations: List[str],
+              where: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """One arm of a (scenario, strategy) cell.
 
-    Returns ``(outcome fingerprint, metrics snapshot, phase profile)``
-    — the snapshot is the job's :meth:`~repro.mpi.job.SimJob.metrics`,
-    merged across shards into the report's aggregate ``metrics``
-    section; the phase profile (:func:`_phase_profile`) is non-empty
-    only for the traced arm.
+    ``data`` and ``strategy_plan`` are the cell's shared payload and
+    ``strategy.plan(pattern, layout)``.  Returns ``(outcome
+    fingerprint, extra)`` where ``extra`` is what only this arm
+    supplies: the plain arm's :meth:`~repro.mpi.job.SimJob.metrics`
+    snapshot (merged across shards into the report's aggregate
+    ``metrics`` section), the traced arm's :func:`_phase_profile`.
     """
-    from repro.core.base import default_data, run_exchange, verify_exchange
+    from repro.core.base import run_exchange, verify_exchange
     from repro.mpi.job import SimJob
 
     job = SimJob(machine, num_nodes=NUM_NODES, ppn=PPN, seed=0,
@@ -233,7 +267,8 @@ def _run_once(machine, plan: FaultPlan, pattern, strategy,
                  max_events=MAX_EVENTS, max_wall_seconds=MAX_WALL_SECONDS)
     outcome: Dict[str, Any] = {}
     try:
-        result = run_exchange(job, strategy, pattern)
+        result = run_exchange(job, strategy, pattern, data=data,
+                              plan=strategy_plan)
     except DeliveryError as exc:
         outcome["outcome"] = "delivery-error"
         outcome["error"] = str(exc)
@@ -249,8 +284,7 @@ def _run_once(machine, plan: FaultPlan, pattern, strategy,
         outcome["outcome"] = "ok"
         outcome["comm_time_hex"] = result.comm_time.hex()
         try:
-            verify_exchange(result, pattern,
-                            default_data(pattern, job.layout))
+            verify_exchange(result, pattern, data)
         except AssertionError as exc:
             violations.append(f"{where}: corrupt delivery ({exc})")
         blocked = job.sim.blocked_labels()
@@ -269,7 +303,7 @@ def _run_once(machine, plan: FaultPlan, pattern, strategy,
     _check_monotone(job, violations, where)
     if job.sim.now < 0:
         violations.append(f"{where}: virtual clock went negative")
-    return outcome, job.metrics(), _phase_profile(job)
+    return outcome, _phase_profile(job) if tracer else job.metrics()
 
 
 def run_chaos_shard(spec: Tuple) -> Dict[str, Any]:
@@ -277,30 +311,33 @@ def run_chaos_shard(spec: Tuple) -> Dict[str, Any]:
 
     ``spec = (seed, smoke, scenario index, strategy label[, machine
     preset name])`` — tiny and picklable, so shards fan out over any
-    start method.  Everything else (machine, plan, pattern, strategy
-    instance) is rebuilt deterministically inside the worker.  Returns
-    the cell's outcome, its local violations (in serial order), the
-    plain run's metrics snapshot and the traced run's per-phase
-    virtual-time profile (attached *after* the plain-vs-traced
-    fingerprint comparison, so trace transparency is still checked on
-    the bare outcome).
+    start method.  The scenario's inputs (machine, fault plan, pattern,
+    payload data) are rebuilt deterministically inside the worker, once
+    per scenario (:func:`_scenario_inputs`); the strategy's plan is
+    built once for the cell and both arms run it.  Returns the cell's
+    outcome, its local violations (in serial order), the plain run's
+    metrics snapshot and the traced run's per-phase virtual-time
+    profile (attached *after* the plain-vs-traced fingerprint
+    comparison, so trace transparency is still checked on the bare
+    outcome).
     """
     from repro.core.selector import strategy_by_name
-    from repro.machine.presets import resolve_machine
 
     seed, smoke, index, label = spec[:4]
-    machine = resolve_machine(spec[4] if len(spec) > 4 else "lassen")
-    plan = build_scenarios(seed, 3 if smoke else 6)[index]
-    pattern = _scenario_pattern(seed, index)
+    machine, plan, pattern, layout, data = _scenario_inputs(
+        seed, 3 if smoke else 6, index,
+        spec[4] if len(spec) > 4 else "lassen")
     strategy = strategy_by_name(label)
+    strategy_plan = strategy.plan(pattern, layout)
     violations: List[str] = []
     where = f"scenario {index} / {label}"
-    plain, metrics, _ = _run_once(machine, plan, pattern, strategy,
-                                  tracer=False, violations=violations,
-                                  where=where)
-    traced, _, phases = _run_once(machine, plan, pattern, strategy,
-                                  tracer=True, violations=violations,
-                                  where=f"{where} [traced]")
+    plain, metrics = _run_once(machine, plan, pattern, strategy, data,
+                               strategy_plan, tracer=False,
+                               violations=violations, where=where)
+    traced, phases = _run_once(machine, plan, pattern, strategy, data,
+                               strategy_plan, tracer=True,
+                               violations=violations,
+                               where=f"{where} [traced]")
     if plain != traced:
         violations.append(
             f"{where}: tracing changed the outcome fingerprint "

@@ -44,9 +44,9 @@ The workloads cover the layers the optimisation work targets:
     The precomputed regime-map atlas: every grid point answered through
     :meth:`~repro.atlas.index.AtlasIndex.lookup` vs exact
     :func:`~repro.models.scenarios.best_strategy` evaluation, asserting
-    winner-for-winner exact agreement and a ≥50x queries/s floor (the
-    atlas is built outside the timed region — it is the offline
-    artifact).
+    winner-for-winner exact agreement and an absolute lookups/s floor
+    (the atlas is built outside the timed region — it is the offline
+    artifact; the ratio over the exact arm is reported, not enforced).
 
 Each workload reports its wall clock (best and median of ``repeats``)
 plus a throughput metric (virtual events/sec, simulated messages/sec or
@@ -90,8 +90,11 @@ SCHEMA = 6
 MIN_DES_BATCHED_SPEEDUP = 5.0
 MIN_SWEEP_FUSED_SPEEDUP = 10.0
 
-#: enforced atlas speedup floor (ISSUE 9 acceptance criterion)
-MIN_ATLAS_QUERY_SPEEDUP = 50.0
+#: enforced atlas floor, absolute lookups/s: about a third of the smoke
+#: value on the reference box (~122k).  Not a ratio over exact
+#: ``best_strategy`` — that arm keeps getting faster, which thinned
+#: ``speedup_atlas`` from ~160 to ~66 without the atlas changing.
+MIN_ATLAS_QUERIES_PER_S = 40_000.0
 
 
 @dataclass
@@ -469,7 +472,7 @@ def _hier_strategies_workload(n_sizes: int,
 
 def _atlas_query_workload(smoke: bool, rounds: int,
                           machine_name: str = "lassen",
-                          min_speedup: float = MIN_ATLAS_QUERY_SPEEDUP
+                          min_queries_per_s: float = MIN_ATLAS_QUERIES_PER_S
                           ) -> Callable[[], Dict[str, float]]:
     """O(1) atlas lookups vs exact per-query evaluation.
 
@@ -482,8 +485,9 @@ def _atlas_query_workload(smoke: bool, rounds: int,
     fused kernel per query — the cost the atlas amortizes away).  The
     two winner sequences must agree exactly on every grid point, every
     lookup must be served from the atlas (no fallbacks on-grid), and
-    the per-query speedup must clear the ``min_speedup`` floor — the
-    tentpole claim of the atlas, enforced on every suite run.
+    the atlas arm must clear the absolute ``min_queries_per_s`` floor,
+    enforced on every suite run; ``speedup_atlas`` (the ratio over the
+    exact arm) is reported as a wiring check only.
     """
     from repro.atlas import build_atlas, default_grid
     from repro.machine import resolve_machine
@@ -521,17 +525,15 @@ def _atlas_query_workload(smoke: bool, rounds: int,
             raise AssertionError(
                 f"on-grid atlas queries fell back to exact evaluation: "
                 f"{counters}")
-        speedup = t_exact_q / t_atlas_q if t_atlas_q > 0 else float("inf")
-        if speedup < min_speedup:
+        if 1.0 / t_atlas_q < min_queries_per_s:
             raise AssertionError(
-                f"atlas query speedup {speedup:.1f}x below the "
-                f"{min_speedup:.0f}x floor "
-                f"({1.0 / t_exact_q:,.0f} -> {1.0 / t_atlas_q:,.0f} "
-                f"queries/s)")
+                f"atlas lookups at {1.0 / t_atlas_q:,.0f} queries/s, below "
+                f"the {min_queries_per_s:,.0f} floor "
+                f"(exact arm: {1.0 / t_exact_q:,.0f} queries/s)")
         return {
             "queries": float(rounds * len(queries)),
             "atlas_queries_per_s": 1.0 / t_atlas_q,
-            "speedup_atlas": speedup,
+            "speedup_atlas": t_exact_q / t_atlas_q,
         }
 
     return run
@@ -547,6 +549,8 @@ def _sweep_parallel_workload(par_jobs: int, machine_name: str = "lassen"
     ``speedup_cached`` (warm on-disk cache) over the serial baseline.
     On an N-core host the parallel speedup approaches
     ``min(par_jobs, N)``; the cached speedup is core-independent.
+    Both ratios fall when the serial sweep gets faster, so the serial
+    arm's absolute ``serial_cells_per_s`` is reported beside them.
     """
 
     def run() -> Dict[str, float]:
@@ -585,6 +589,7 @@ def _sweep_parallel_workload(par_jobs: int, machine_name: str = "lassen"
         return {
             "shards": float(base["summary"]["runs"]),
             "jobs": float(par_jobs),
+            "serial_cells_per_s": base["summary"]["runs"] / t_serial,
             "speedup_parallel": t_serial / t_parallel,
             "speedup_cached": t_serial / t_warm,
         }

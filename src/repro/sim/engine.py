@@ -543,13 +543,13 @@ class Simulator:
         ``max_events`` / ``max_wall_seconds`` arm a watchdog: exceeding
         either budget raises a diagnostic :class:`WatchdogError` naming
         the still-live processes — turning runaway or silently-wrong
-        simulations into actionable failures.  The watchdog runs in a
-        separate guarded loop so the ordinary hot loop stays untouched.
+        simulations into actionable failures.  The watchdog and an attached
+        tracer run in a separate guarded loop so the ordinary hot loop
+        stays untouched.
         """
-        if max_events is not None or max_wall_seconds is not None:
+        if (max_events is not None or max_wall_seconds is not None
+                or self._trace_on):
             return self._run_guarded(until, max_events, max_wall_seconds)
-        if self._trace_on:
-            return self._run_traced(until)
         imm = self._imm
         heap = self._heap
         crashed = self._crashed
@@ -699,48 +699,18 @@ class Simulator:
         soa.fired = fired
         self._soa_head = soa.head()
 
-    def _run_traced(self, until: Optional[float]) -> float:
-        """Instrumented twin of the ``run()`` loop.
-
-        Fires the exact same event sequence (it delegates to ``step()``),
-        additionally counting events and sampling the pending-queue depth
-        every ``_TRACE_SAMPLE_EVERY`` steps as an ``engine`` counter
-        track.  Kept separate so the untraced loop stays branch-free.
-        """
-        step = self.step
-        crashed = self._crashed
-        tracer = self.tracer
-        steps = 0
-        while self._imm or self._heap or self._soa_head is not None:
-            if until is not None and self.peek() > until:
-                self._now = until
-                break
-            step()
-            steps += 1
-            if steps % _TRACE_SAMPLE_EVERY == 0:
-                tracer.counter("engine", "queue_depth", self._now,
-                               len(self._imm) + len(self._heap)
-                               + len(self._soa))
-            if crashed:
-                self._steps_traced += steps
-                self._raise_crashed(*crashed[0])
-        else:
-            if self._live_processes > 0 and until is None:
-                self._steps_traced += steps
-                self._raise_deadlock()
-        self._steps_traced += steps
-        tracer.counter("engine", "queue_depth", self._now,
-                       len(self._imm) + len(self._heap) + len(self._soa))
-        return self._now
-
     def _run_guarded(self, until: Optional[float],
                      max_events: Optional[int],
                      max_wall_seconds: Optional[float]) -> float:
-        """Watchdog twin of the ``run()`` loop (event + wall budgets).
+        """Instrumented twin of the ``run()`` loop: watchdog and tracing.
 
+        Fires the exact same event sequence (it delegates to ``step()``).
         Wall time is sampled every ``_WATCHDOG_CHECK_EVERY`` steps to
-        keep the per-event cost at one integer compare.  Handles tracing
-        too, so a guarded run fires the identical event sequence.
+        keep the per-event cost at one integer compare.  With a tracer
+        attached it also counts events and samples the pending-queue
+        depth every ``_TRACE_SAMPLE_EVERY`` steps, plus once when the
+        run returns, as an ``engine`` counter track.  Kept separate so
+        the untraced, unguarded loop stays branch-free.
         """
         step = self.step
         crashed = self._crashed
@@ -784,6 +754,9 @@ class Simulator:
         finally:
             if trace_on:
                 self._steps_traced += steps
+        if trace_on:
+            tracer.counter("engine", "queue_depth", self._now,
+                           len(self._imm) + len(self._heap) + len(self._soa))
         return self._now
 
     def peek(self) -> float:

@@ -176,7 +176,7 @@ def measure_matrix_panel(spec) -> Dict[str, object]:
     """
     from typing import List as _List
 
-    from repro.core.base import run_exchange
+    from repro.core.base import default_data, run_exchange
     from repro.core.selector import all_strategies
     from repro.mpi.job import SimJob
     from repro.sparse.distributed import DistributedCSR
@@ -202,8 +202,9 @@ def measure_matrix_panel(spec) -> Dict[str, object]:
             "inter_node_bytes": sum(b for _m, b in pair.values()),
             "inter_node_msgs": sum(m for m, _b in pair.values()),
         }
+        data = default_data(pattern, job.layout)
         for strategy in all_strategies(include_extended=False):
-            res = run_exchange(job, strategy, pattern)
+            res = run_exchange(job, strategy, pattern, data=data)
             series[strategy.label].append(res.comm_time)
     return {"gpus": list(gpu_counts), "series": series, "meta": meta}
 

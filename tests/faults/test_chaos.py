@@ -1,11 +1,20 @@
 """Chaos harness: determinism, invariants, CLI plumbing."""
 
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
-from repro.faults.chaos import build_scenario, main, run_chaos
+from repro.core.selector import all_strategies
+from repro.faults import chaos
+from repro.faults.chaos import (
+    build_scenario,
+    main,
+    run_chaos,
+    run_chaos_shard,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +86,109 @@ class TestSweep:
             assert res["outcome"] == "ok"
             assert res["retries"] == 0
             assert res["gave_up"] == 0
+
+
+def _shard_bytes(spec):
+    return json.dumps(run_chaos_shard(spec), sort_keys=True)
+
+
+class TestCellInputs:
+    """A cell shares its scenario's inputs; the bytes it returns do not
+    depend on what was evaluated before it."""
+
+    #: sha256 over every cell of a full sweep (6 scenarios x 13
+    #: strategies, sweep order), recorded before the scenario memo
+    GOLDEN = {
+        "lassen": (11, "70fab3b4cea9c53df63798cf875b1bab"
+                       "9ae5d3e97449d2efef019215e755571c"),
+        "summit": (12, "d1a04c42cf70438410b00ef86c7392a7"
+                       "ba372feb5a8dae432683069941cd27fc"),
+        "frontier_like": (13, "361ee0cae2715ac1ac10ac2dce0ff524"
+                              "aeedd0c95a10f9846bc20f5e3e480f97"),
+    }
+
+    @pytest.mark.parametrize("machine", sorted(GOLDEN))
+    def test_full_size_cells_match_the_golden(self, machine):
+        seed, want = self.GOLDEN[machine]
+        digest = hashlib.sha256()
+        for index in range(6):
+            for strategy in all_strategies():
+                digest.update(_shard_bytes(
+                    (seed, False, index, strategy.label, machine)).encode())
+        assert digest.hexdigest() == want
+
+    def test_evaluation_order_does_not_change_a_cell(self):
+        labels = [s.label for s in all_strategies()][::5]
+        specs = [(seed, smoke, index, label, machine)
+                 for machine in ("lassen", "frontier_like")
+                 for seed, smoke in ((5, False), (6, True), (6, False))
+                 for index in (0, 1, 2)
+                 for label in labels]
+        chaos._scenario_inputs.cache_clear()
+        in_order = {spec: _shard_bytes(spec) for spec in specs}
+        shuffled = list(specs)
+        random.Random(0).shuffle(shuffled)
+        bound = chaos._scenario_inputs.cache_info().maxsize
+        assert bound == 2
+        for spec in shuffled:
+            assert _shard_bytes(spec) == in_order[spec], spec
+            assert chaos._scenario_inputs.cache_info().currsize <= bound
+
+    def test_a_scenario_builds_its_inputs_once(self, monkeypatch):
+        # call-count budget: the 13 cells of one scenario share one
+        # pattern, one payload draw and one plan list; each cell plans
+        # its strategy once for both arms
+        from repro.core import base
+        from repro.core.pattern import CommPattern
+
+        calls = {"random": 0, "default_data": 0, "build_scenarios": 0}
+        plans = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(CommPattern, "random", staticmethod(
+            counting("random", CommPattern.random)))
+        monkeypatch.setattr(base, "default_data",
+                            counting("default_data", base.default_data))
+        monkeypatch.setattr(chaos, "build_scenarios", counting(
+            "build_scenarios", chaos.build_scenarios))
+        strategies = all_strategies()
+        for strategy in strategies:
+            def plan(self, pattern, layout, _plan=type(strategy).plan):
+                plans[self.label] = plans.get(self.label, 0) + 1
+                return _plan(self, pattern, layout)
+            monkeypatch.setattr(type(strategy), "plan", plan)
+
+        chaos._scenario_inputs.cache_clear()
+        chaos._scenario_plans.cache_clear()
+        for strategy in strategies:
+            shard = run_chaos_shard((21, False, 4, strategy.label, "summit"))
+            assert not shard["violations"]
+        assert calls == {"random": 1, "default_data": 1,
+                         "build_scenarios": 1}
+        assert plans == {s.label: 1 for s in strategies}
+
+    def test_in_place_write_to_the_payload_is_a_crash(self, monkeypatch):
+        # the payload is shared by every cell of a scenario and is the
+        # ground truth delivery is verified against: it is read-only
+        from repro.core import selector
+        from repro.core.standard import StandardStaged
+
+        class Scribbler(StandardStaged):
+            def program(self, ctx, plan, data):
+                data[0][:1] = 0.0
+                return (yield from super().program(ctx, plan, data))
+
+        monkeypatch.setattr(selector, "strategy_by_name",
+                            lambda label: Scribbler())
+        shard = run_chaos_shard((0, True, 0, "Standard (staged)", "lassen"))
+        assert shard["outcome"]["outcome"] == "crash"
+        assert "read-only" in shard["outcome"]["error"]
+        assert any("crash" in v for v in shard["violations"])
 
 
 class TestCli:

@@ -74,6 +74,31 @@ class TestEngineTracing:
         assert samples, "expected sampled queue-depth counters"
         assert sim.steps_traced > 400
 
+    def test_watchdog_budget_does_not_change_the_counter_track(self):
+        # one instrumented loop: a traced run records the same samples,
+        # closing one included, with or without a watchdog budget
+        def record(**budget):
+            tracer = MemoryTracer()
+            sim = Simulator(tracer=tracer)
+
+            def worker():
+                for _ in range(400):
+                    yield sim.timeout(1e-6)
+
+            sim.process(worker(), label="w0")
+            sim.run(**budget)
+            return sim, [(c.track, c.name, c.t, c.value)
+                         for c in tracer.counters]
+
+        plain, samples = record()
+        guarded, guarded_samples = record(max_events=10_000,
+                                          max_wall_seconds=60.0)
+        assert guarded_samples == samples
+        assert guarded.steps_traced == plain.steps_traced
+        # the closing sample: the drained queue at the final time
+        assert samples[-1] == ("engine", "queue_depth", plain.now, 0.0)
+        assert len(samples) == plain.steps_traced // 256 + 1
+
     def test_untraced_sim_counts_no_steps(self):
         sim = Simulator()
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.perf import run_suite, write_report
 from repro.perf.suite import (
+    MIN_ATLAS_QUERIES_PER_S,
     SCHEMA,
     _find_strategy,
     compare_reports,
@@ -38,6 +39,10 @@ def test_smoke_suite_runs_and_reports(tmp_path, capsys):
     assert "speedup_cached" in parallel.metrics
     assert "speedup_parallel_per_s" not in parallel.metrics
     assert "jobs_per_s" not in parallel.metrics
+    # the ratios fall when the serial sweep gets faster, so the serial
+    # arm is also reported as an absolute rate (no second companion)
+    assert parallel.metrics["serial_cells_per_s"] > 0.0
+    assert "serial_cells_per_s_per_s" not in parallel.metrics
     # the cached arm skips every shard, so it beats serial handily
     assert parallel.metrics["speedup_cached"] > 1.0
     # the hop-plan kernel asserts bit-identity internally and reports
@@ -61,10 +66,11 @@ def test_smoke_suite_runs_and_reports(tmp_path, capsys):
     hier = next(r for r in results if r.name == "hier_strategies")
     assert hier.metrics["models"] == 13.0
     assert "fused_cells_per_s" in hier.metrics
-    # the atlas workload enforces >= 50x queries/s and exact agreement
+    # the atlas workload enforces exact agreement and an absolute
+    # lookups/s floor; the ratio over the exact arm is a wiring check
     atlas = next(r for r in results if r.name == "atlas_query")
-    assert atlas.metrics["speedup_atlas"] >= 50.0
-    assert "atlas_queries_per_s" in atlas.metrics
+    assert atlas.metrics["atlas_queries_per_s"] >= MIN_ATLAS_QUERIES_PER_S
+    assert atlas.metrics["speedup_atlas"] > 1.0
     assert "atlas_queries_per_s_per_s" not in atlas.metrics
 
     out = tmp_path / "bench.json"
