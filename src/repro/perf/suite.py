@@ -4,7 +4,8 @@ The workloads cover the layers the optimisation work targets:
 
 ``engine``
     Raw DES kernel event throughput: many processes looping on
-    zero-cost bookkeeping plus heap-scheduled timeouts.
+    zero-cost bookkeeping plus heap-scheduled timeouts, held to an
+    absolute events/s floor.
 ``pingpong``
     The Table-2 refit (:func:`repro.benchpress.pingpong.fit_comm_table`)
     — message costing, protocol selection and the sweep-reuse path.
@@ -29,12 +30,6 @@ The workloads cover the layers the optimisation work targets:
     fanned out over workers, and warm-cache — reporting the parallel
     and cached speedups over the serial baseline (and asserting all
     three reports stay byte-identical).
-``des_batched``
-    The struct-of-arrays DES fast path: identical seeded delay sets
-    scheduled per-event (``sim.timeout`` loop) vs batched
-    (:meth:`~repro.sim.engine.Simulator.schedule_ticks`), asserting the
-    per-batch completion times are bit-identical and the batched path
-    clears a ≥5x events/s floor.
 ``sweep_fused``
     Whole-sweep fused costing: every (strategy x scenario x size) cell
     through :func:`~repro.models.scenarios.fused_scenario_times` vs the
@@ -72,7 +67,7 @@ import numpy as np
 #: workload, whose ``speedup_*`` metrics carry no ``_per_s`` companion.
 #: Schema 3 adds the ``hop_plan`` workload and a top-level ``machine``
 #: field naming the preset the suite ran on.
-#: Schema 4 adds the ``des_batched`` and ``sweep_fused`` workloads
+#: Schema 4 adds the batched-DES and ``sweep_fused`` workloads
 #: (each asserting bit-identity plus a speedup floor internally), and
 #: keys already ending in ``_per_s`` no longer receive an automatic
 #: ``_per_s`` companion.
@@ -84,10 +79,16 @@ import numpy as np
 #: multi-NIC ``frontier_like`` preset, asserting the fused coster stays
 #: cell-wise bit-identical to the scalar models on *tiered* plans
 #: (tier scales, NIC pinning, persistent channels, SETUP stages).
-SCHEMA = 6
+#: Schema 7 removes the batched-DES workload with the SoA batch
+#: kernel it measured; ``engine`` enforces an absolute events/s floor.
+SCHEMA = 7
 
-#: enforced speedup floors (ISSUE 6 acceptance criteria)
-MIN_DES_BATCHED_SPEEDUP = 5.0
+#: enforced engine floor, absolute events per CPU-second: about a third
+#: of the smoke value on the reference box (~650k).  CPU time, because
+#: the smoke run lasts ~3 ms and one preemption would otherwise trip it.
+MIN_ENGINE_EVENTS_PER_S = 200_000.0
+
+#: enforced speedup floor (ISSUE 6 acceptance criteria)
 MIN_SWEEP_FUSED_SPEEDUP = 10.0
 
 #: enforced atlas floor, absolute lookups/s: about a third of the smoke
@@ -95,6 +96,10 @@ MIN_SWEEP_FUSED_SPEEDUP = 10.0
 #: ``best_strategy`` — that arm keeps getting faster, which thinned
 #: ``speedup_atlas`` from ~160 to ~66 without the atlas changing.
 MIN_ATLAS_QUERIES_PER_S = 40_000.0
+
+
+class UnknownWorkloadError(ValueError):
+    """``only`` names a workload the suite does not have."""
 
 
 @dataclass
@@ -133,7 +138,9 @@ def _find_strategy(label: str):
 # ---------------------------------------------------------------------------
 # Workloads — each returns {metric name: value} for the report
 # ---------------------------------------------------------------------------
-def _engine_workload(procs: int, timeouts: int) -> Callable[[], Dict[str, float]]:
+def _engine_workload(procs: int, timeouts: int,
+                     min_events_per_s: float = MIN_ENGINE_EVENTS_PER_S
+                     ) -> Callable[[], Dict[str, float]]:
     def run() -> Dict[str, float]:
         from repro.sim.engine import Simulator
 
@@ -143,11 +150,18 @@ def _engine_workload(procs: int, timeouts: int) -> Callable[[], Dict[str, float]
             for _ in range(timeouts):
                 yield sim.timeout(delay)
 
+        t0 = time.process_time()
         for p in range(procs):
             sim.process(worker(1e-6 * (p + 1)), label=f"w{p}")
         sim.run()
         # one start token per process + one event per timeout
-        return {"events": procs * (timeouts + 1)}
+        events = procs * (timeouts + 1)
+        rate = events / max(time.process_time() - t0, 1e-9)
+        if rate < min_events_per_s:
+            raise AssertionError(
+                f"engine at {rate:,.0f} events per CPU-second, below the "
+                f"{min_events_per_s:,.0f} floor")
+        return {"events": events}
 
     return run
 
@@ -272,74 +286,6 @@ def _hop_plan_workload(n_sizes: int, machine_name: str = "lassen"
         return {
             "evals": evals,
             "speedup_vectorized": t_scalar / t_vec if t_vec > 0 else 1.0,
-        }
-
-    return run
-
-
-def _des_batched_workload(batches: int, per_batch: int,
-                          min_speedup: float = MIN_DES_BATCHED_SPEEDUP
-                          ) -> Callable[[], Dict[str, float]]:
-    """SoA event kernel: per-event scheduling vs ``schedule_ticks``.
-
-    Both arms fire the *same* seeded delay sets through the engine; the
-    scalar arm pays one ``Timeout`` object plus one heap push per event,
-    the batched arm one numpy merge per batch plus the anonymous-tick
-    drain.  Per-batch final virtual times (and the completion-event
-    time) must agree bit-for-bit, and the batched arm must clear the
-    ``min_speedup`` events/s floor — the tentpole claim of the SoA
-    rewrite, enforced on every suite run.
-    """
-
-    def run() -> Dict[str, float]:
-        from repro.sim.engine import Simulator
-
-        rng = np.random.default_rng(17)
-        delay_sets = [rng.uniform(1e-7, 1e-3, per_batch)
-                      for _ in range(batches)]
-
-        sim = Simulator()
-        scalar_times: List[float] = []
-        t0 = time.perf_counter()
-        for delays in delay_sets:
-            for d in delays.tolist():
-                sim.timeout(d)
-            sim.run()
-            scalar_times.append(sim.now)
-            sim.reset()
-        t_scalar = time.perf_counter() - t0
-
-        sim = Simulator()
-        batch_times: List[float] = []
-        completion_times: List[float] = []
-        t0 = time.perf_counter()
-        for delays in delay_sets:
-            handle = sim.schedule_ticks(delays, complete=True)
-            completion = handle.completed
-            completion.callbacks.append(
-                lambda ev: completion_times.append(ev.sim.now))
-            sim.run()
-            batch_times.append(sim.now)
-            sim.reset()
-        t_batch = time.perf_counter() - t0
-
-        if batch_times != scalar_times or completion_times != scalar_times:
-            raise AssertionError(
-                "batched DES times diverged from per-event scheduling: "
-                f"{batch_times[:3]} vs {scalar_times[:3]}")
-        events = batches * per_batch
-        if sim.batched_fired != 0:  # reset() must clear the SoA counters
-            raise AssertionError("reset() left batched_fired nonzero")
-        speedup = t_scalar / t_batch if t_batch > 0 else float("inf")
-        if speedup < min_speedup:
-            raise AssertionError(
-                f"batched DES speedup {speedup:.1f}x below the "
-                f"{min_speedup:.0f}x floor "
-                f"({events / t_scalar:,.0f} -> {events / t_batch:,.0f} ev/s)")
-        return {
-            "events": float(events),
-            "batched_events_per_s": events / t_batch,
-            "speedup_batched": speedup,
         }
 
     return run
@@ -645,8 +591,6 @@ def default_workloads(smoke: bool = False, jobs: Optional[int] = None,
     if smoke:
         return [
             ("engine", _engine_workload(procs=20, timeouts=100), 1),
-            ("des_batched", _des_batched_workload(batches=2,
-                                                  per_batch=12_000), 1),
             ("pingpong", _pingpong_workload(iterations=1, n_points=3,
                                             machine_name=machine), 1),
             ("spmv", _spmv_workload(matrix_n=1000, reps=1,
@@ -667,8 +611,6 @@ def default_workloads(smoke: bool = False, jobs: Optional[int] = None,
         ]
     return [
         ("engine", _engine_workload(procs=200, timeouts=500), 3),
-        ("des_batched", _des_batched_workload(batches=4,
-                                              per_batch=50_000), 3),
         ("pingpong", _pingpong_workload(iterations=2, n_points=10,
                                         machine_name=machine), 3),
         ("spmv", _spmv_workload(matrix_n=4000, reps=3,
@@ -714,7 +656,7 @@ def run_suite(smoke: bool = False, verbose: bool = True,
         known = {name for name, _fn, _reps in workloads}
         unknown = [name for name in only if name not in known]
         if unknown:
-            raise ValueError(
+            raise UnknownWorkloadError(
                 f"unknown workload(s) {unknown}; available: "
                 f"{sorted(known)}")
         wanted = set(only)
@@ -798,8 +740,10 @@ def compare_reports(baseline: Dict[str, object], current: Dict[str, object],
     regresses when its current median exceeds the baseline median by
     more than ``tolerance`` (fractional, default 25 % — wide enough for
     scheduler noise on shared CI runners, tight enough to catch a real
-    hot-path regression).  Returns one human-readable message per
-    regression; an empty list means the gate passes.
+    hot-path regression).  Reports of different ``schema`` or ``smoke``
+    are not comparable and yield one message saying so.  Returns one
+    human-readable message per regression; an empty list means the gate
+    passes.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -813,13 +757,14 @@ def compare_reports(baseline: Dict[str, object], current: Dict[str, object],
     base = _by_name(baseline)
     cur = _by_name(current)
     messages: List[str] = []
-    if baseline.get("smoke") != current.get("smoke"):
-        messages.append(
-            "baseline and current reports ran different suite sizes "
-            f"(baseline smoke={baseline.get('smoke')}, current "
-            f"smoke={current.get('smoke')}); wall clocks are not "
-            "comparable")
-        return messages
+    for key in ("schema", "smoke"):
+        # another suite version, or another suite size: comparing the
+        # workload names that happen to intersect would mean nothing
+        if baseline.get(key) != current.get(key):
+            return [f"baseline and current reports differ in {key!r} "
+                    f"(baseline {key}={baseline.get(key)}, current "
+                    f"{key}={current.get(key)}); wall clocks are not "
+                    "comparable"]
     for name in [n for n in cur if n in base]:
         b, c = _wall(base[name]), _wall(cur[name])
         if b > 0 and c > b * (1.0 + tolerance):
@@ -888,9 +833,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             baseline = json.load(fh)
     only = ([name.strip() for name in args.only.split(",") if name.strip()]
             if args.only is not None else None)
-    results = run_suite(smoke=args.smoke, repeats=args.repeats,
-                        jobs=args.jobs, machine=machine, only=only,
-                        policy=policy)
+    try:
+        results = run_suite(smoke=args.smoke, repeats=args.repeats,
+                            jobs=args.jobs, machine=machine, only=only,
+                            policy=policy)
+    except UnknownWorkloadError as exc:
+        parser.error(str(exc))
     report = write_report(results, args.output, smoke=args.smoke,
                           machine=machine)
     print(f"wrote {args.output}")

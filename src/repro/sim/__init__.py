@@ -4,9 +4,11 @@ This package provides the simulation substrate on which the simulated MPI
 runtime (:mod:`repro.mpi`) executes.  It is a small, deterministic,
 generator-coroutine event loop in the style of SimPy:
 
-* :class:`~repro.sim.engine.Simulator` owns a virtual clock and an event
-  heap ordered by ``(time, sequence)`` so same-time events fire in a
-  deterministic FIFO order.
+* :class:`~repro.sim.engine.Simulator` owns a virtual clock and two
+  pending-event queues (a deque for zero-delay events, a heap for the
+  rest) that pop in ``(time, sequence)`` order, so same-time events fire
+  in a deterministic FIFO order; ``Simulator.run`` is the one loop that
+  dispatches them.
 * Processes are plain Python generators that ``yield`` :class:`Event`
   objects; the engine resumes them with the event's value when it fires.
 * :class:`~repro.sim.resources.BandwidthResource` models a FIFO byte
@@ -31,7 +33,6 @@ Example
 from repro.sim.engine import (Simulator, Process, SimulationError,
                               DeadlockError, WatchdogError)
 from repro.sim.events import Event, Timeout, AllOf, AnyOf, EventState
-from repro.sim.soa import SoATimeline, TickBatch
 from repro.sim.resources import BandwidthResource, Resource, TokenBucket
 from repro.sim.noise import NoiseModel, NoNoise, LognormalNoise
 
@@ -46,8 +47,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "EventState",
-    "SoATimeline",
-    "TickBatch",
     "BandwidthResource",
     "Resource",
     "TokenBucket",

@@ -6,36 +6,29 @@ Events scheduled for the same virtual time fire in scheduling order
 (monotone sequence numbers break ties), so a simulation with a fixed seed
 is bit-reproducible across runs and platforms.
 
-Fast paths
-----------
-The engine keeps three pending-event structures that together behave as
-a single priority queue ordered by ``(time, seq)``:
+Two queues, one loop
+--------------------
+Pending events live in two structures that together behave as a single
+priority queue ordered by ``(time, seq)``:
 
-* a binary heap for events scheduled individually with a positive delay,
-* a plain FIFO deque for *immediate* (zero-delay) events, and
-* a struct-of-arrays sorted run (:class:`~repro.sim.soa.SoATimeline`)
-  for *batch*-scheduled events: numpy time/seq arrays merged with one
-  ``lexsort`` per batch instead of one ``heappush`` per event.
+* a binary heap for events scheduled with a positive delay, and
+* a plain FIFO deque for *immediate* (zero-delay) events.
 
 Zero-delay events — process starts, resumptions of already-fired events,
 interrupts, and every ``succeed()``/``fail()`` without a delay — are the
 majority of the event traffic in message-heavy simulations.  Because the
 clock never moves backwards, the deque is naturally sorted by
-``(time, seq)``, so the engine only has to compare the queue heads to
-pop in exactly the order the single-heap implementation would have.  The
-fired order (and therefore every virtual time) is bit-identical to the
-pure-heap kernel; only the wall-clock cost changes.
+``(time, seq)``, so the engine only has to compare the two queue heads
+to pop in exactly the order a single heap would (the pure-heap kernel in
+``tests/sim/test_ordering.py`` is the oracle for that).
 
-The untraced ``run()`` loop additionally *coalesces* work instead of
-dispatching one ``step()`` per event: a zero-delay cascade drains the
-deque in one inner loop under a cached barrier (the earliest heap/SoA
-head — safe because batch APIs only admit strictly-future times, so no
-new entry scheduled during the drain can preempt it), and a run of
-SoA entries drains with a vectorized ``searchsorted`` bound plus an
-O(1) pointer to the next real Event payload.  Anonymous ticks (``None``
-payloads) advance the clock without touching a single Python object.
+:meth:`Simulator.run` is the only dispatch loop.  The event budget, the
+wall-clock watchdog, the tracer's ``queue_depth`` samples and its step
+count all hang off one per-event integer compare against the next step
+count at which any of them is due — never, for a plain run — so plain,
+guarded and traced runs are the same code.
 
-Process resumption on an already-fired event similarly skips the relay
+Process resumption on an already-fired event skips the relay
 :class:`Event` allocation: a lightweight :class:`_Resume` token carrying
 the original event is queued instead, preserving engine-driven (non-
 recursive) resumption order.
@@ -44,12 +37,11 @@ recursive) resumption order.
 from __future__ import annotations
 
 import heapq
+import sys
 import time as _time
 from collections import deque
 from itertools import count
-from typing import Any, Generator, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -69,7 +61,6 @@ from repro.sim.events import (
     Timeout,
     ensure_event,
 )
-from repro.sim.soa import SoATimeline, TickBatch
 
 _PROCESSED = EventState.PROCESSED
 _TRIGGERED = EventState.TRIGGERED
@@ -88,6 +79,20 @@ class WatchdogError(SimulationError):
 
 #: wall-clock watchdog check period (steps between ``monotonic()`` reads)
 _WATCHDOG_CHECK_EVERY = 4096
+
+
+def _next_due(steps: int, budget: Optional[int],
+              deadline: Optional[float], trace: bool) -> int:
+    """First step count after ``steps`` at which ``run()`` has more to do
+    than dispatch: the budget trip, a wall-clock read or a trace sample."""
+    due = sys.maxsize if budget is None else budget + 1  # plain run: never
+    if deadline is not None:
+        due = min(due, steps - steps % _WATCHDOG_CHECK_EVERY
+                  + _WATCHDOG_CHECK_EVERY)
+    if trace:
+        due = min(due, steps - steps % _TRACE_SAMPLE_EVERY
+                  + _TRACE_SAMPLE_EVERY)
+    return due
 
 
 class Interrupt(Exception):
@@ -257,9 +262,8 @@ class Simulator:
 
     ``tracer`` (default: the shared :data:`~repro.obs.tracer.NULL_TRACER`)
     receives engine spans when enabled: process start instants and
-    lifetime spans, plus queue-depth counter samples from the traced run
-    loop.  The disabled path costs one cached-boolean branch per site —
-    the untraced ``run()`` loop is untouched.
+    lifetime spans, plus queue-depth counter samples from ``run()``.
+    The disabled path costs one cached-boolean branch per site.
     """
 
     def __init__(self, tracer: Any = None) -> None:
@@ -267,12 +271,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, Event]] = []
         #: zero-delay events/tokens, naturally sorted by (time, seq)
         self._imm: deque = deque()
-        #: batch-scheduled events, sorted column-wise by (time, seq)
-        self._soa = SoATimeline()
-        #: cached ``(time, seq)`` of the earliest SoA entry (None = empty);
-        #: refreshed on every merge/fire so hot loops never touch numpy
-        #: scalars just to compare heads
-        self._soa_head: Optional[Tuple[float, int]] = None
         self._seq = count()
         self._live_processes = 0
         #: every process ever registered (labels for deadlock/watchdog
@@ -297,7 +295,7 @@ class Simulator:
 
     @property
     def steps_traced(self) -> int:
-        """Events fired by traced ``run()`` loops (0 when untraced)."""
+        """Events fired by traced ``run()`` calls (0 when untraced)."""
         return self._steps_traced
 
     # -- scheduling -------------------------------------------------------------
@@ -314,93 +312,6 @@ class Simulator:
     def _schedule_token(self, token: Any) -> None:
         """Queue an engine-internal immediate token (start/resume/throw)."""
         self._imm.append((self._now, next(self._seq), token))
-
-    def _claim_seq_block(self, n: int) -> np.ndarray:
-        """Reserve ``n`` consecutive sequence numbers as an int64 array."""
-        base = next(self._seq)
-        self._seq = count(base + n)
-        return np.arange(base, base + n, dtype=np.int64)
-
-    @staticmethod
-    def _check_batch_delays(delays: Any) -> np.ndarray:
-        delays = np.asarray(delays, dtype=np.float64)
-        if delays.ndim != 1:
-            raise ValueError(
-                f"batch delays must be one-dimensional, got shape "
-                f"{delays.shape}")
-        if delays.size and not np.all(delays > 0.0):
-            # Zero-delay bulk events would belong on the immediate deque
-            # (and would invalidate the drain-loop barrier); schedule
-            # them individually instead.
-            raise ValueError(
-                "batch delays must be strictly positive (zero-delay "
-                "events go through the immediate queue)")
-        return delays
-
-    def schedule_ticks(self, delays: Any, complete: bool = False) -> TickBatch:
-        """Schedule a batch of *anonymous ticks* ``delays`` seconds from now.
-
-        Each tick advances the virtual clock in global ``(time, seq)``
-        order but allocates no per-event Python object — the batch is
-        three numpy arrays plus one :class:`TickBatch` handle.  With
-        ``complete=True`` the handle's ``completed`` event fires when
-        the last tick of the batch does.  Delays must be strictly
-        positive (a zero-delay "tick" is just an immediate event).
-        """
-        delays = self._check_batch_delays(delays)
-        n = int(delays.size)
-        batch = TickBatch(self, n, complete)
-        if n == 0:
-            if complete:
-                batch.completed.succeed(batch)
-            return batch
-        times = self._now + delays
-        seqs = self._claim_seq_block(n)
-        events: List[Any] = [None] * n
-        if complete:
-            # The completion marker rides on the entry that fires last.
-            last = int(np.lexsort((seqs, times))[-1])
-            events[last] = batch
-        self._soa.merge(times, seqs, events)
-        self._soa_head = self._soa.head()
-        return batch
-
-    def timeout_batch(self, delays: Any,
-                      values: Optional[Sequence[Any]] = None) -> List[Timeout]:
-        """Create ``len(delays)`` timeouts with one batched scheduling pass.
-
-        Returns the :class:`Timeout` events in input order; each behaves
-        exactly like ``sim.timeout(delay, value)`` (waitable, callbacks,
-        same ``(time, seq)`` firing order) but the heap push per event is
-        replaced by a single SoA merge.  Delays must be strictly
-        positive.
-        """
-        delays = self._check_batch_delays(delays)
-        n = int(delays.size)
-        if values is not None and len(values) != n:
-            raise ValueError(
-                f"values length {len(values)} != delays length {n}")
-        if n == 0:
-            return []
-        times = self._now + delays
-        seqs = self._claim_seq_block(n)
-        timeouts: List[Timeout] = []
-        append = timeouts.append
-        vals = values if values is not None else (None,) * n
-        for delay, value in zip(delays.tolist(), vals):
-            # Mirror of Timeout.__init__ minus the per-event _schedule.
-            t = Timeout.__new__(Timeout)
-            t.sim = self
-            t.name = ""
-            t.callbacks = []
-            t.delay = delay
-            t._value = value
-            t._ok = True
-            t._state = _TRIGGERED
-            append(t)
-        self._soa.merge(times, seqs, list(timeouts))
-        self._soa_head = self._soa.head()
-        return timeouts
 
     # -- factories ---------------------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -428,75 +339,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, list(events))
-
-    # -- main loop -----------------------------------------------------------------
-    def step(self) -> None:
-        """Fire the next scheduled event.
-
-        Raises :class:`SimulationError` when nothing is scheduled (an
-        empty schedule is a caller bug, not an engine state).
-        """
-        imm = self._imm
-        heap = self._heap
-        if self._soa_head is not None:
-            self._step_three_way()
-            return
-        if imm:
-            # The deque is sorted by (time, seq); pop whichever head is
-            # earlier so the fired order matches the single-heap kernel.
-            # Sequence numbers are unique, so the tuple comparison never
-            # reaches the (incomparable) event payloads.
-            if heap and heap[0] < imm[0]:
-                when, _seq, event = heapq.heappop(heap)
-            else:
-                when, _seq, event = imm.popleft()
-        elif heap:
-            when, _seq, event = heapq.heappop(heap)
-        else:
-            raise SimulationError("step() called with no scheduled events")
-        self._now = when
-        event._process_callbacks()
-
-    def _step_three_way(self) -> None:
-        """``step()`` with a non-empty SoA run: compare all three heads."""
-        imm = self._imm
-        heap = self._heap
-        soa_key = self._soa_head
-        best: Optional[Tuple[float, int]] = None
-        if imm:
-            head = imm[0]
-            best = (head[0], head[1])
-        if heap:
-            hk = (heap[0][0], heap[0][1])
-            if best is None or hk < best:
-                best = hk
-        if best is None or soa_key < best:
-            self._fire_soa_one()
-            return
-        if imm and best == (imm[0][0], imm[0][1]):
-            when, _seq, event = imm.popleft()
-        else:
-            when, _seq, event = heapq.heappop(heap)
-        self._now = when
-        event._process_callbacks()
-
-    def _fire_soa_one(self) -> None:
-        """Fire exactly the earliest SoA entry (single-step granularity)."""
-        soa = self._soa
-        i = soa.pos
-        event = soa.events[i]
-        self._now = float(soa.times[i])
-        soa.pos = i + 1
-        soa.fired += 1
-        if event is not None:
-            soa.ev_ptr += 1
-        self._soa_head = soa.head()
-        if event is None:
-            return
-        if type(event) is TickBatch:
-            event._complete_now()
-        else:
-            event._process_callbacks()
 
     # -- diagnostics -----------------------------------------------------------
     def blocked_labels(self, limit: Optional[int] = None) -> List[str]:
@@ -529,6 +371,28 @@ class Simulator:
             f"t={self._now:g} with no scheduled events{self._blocked_detail()}"
         )
 
+    # -- main loop -----------------------------------------------------------------
+    def step(self) -> None:
+        """Fire the next scheduled event.
+
+        Raises :class:`SimulationError` when nothing is scheduled (an
+        empty schedule is a caller bug, not an engine state).
+        """
+        imm = self._imm
+        heap = self._heap
+        # The deque is sorted by (time, seq); pop whichever head is
+        # earlier so the fired order matches a single heap.  Sequence
+        # numbers are unique, so the tuple comparison never reaches the
+        # (incomparable) event payloads.
+        if imm and not (heap and heap[0] < imm[0]):
+            when, _seq, event = imm.popleft()
+        elif heap:
+            when, _seq, event = heapq.heappop(heap)
+        else:
+            raise SimulationError("step() called with no scheduled events")
+        self._now = when
+        event._process_callbacks()
+
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None,
             max_wall_seconds: Optional[float] = None) -> float:
@@ -538,225 +402,81 @@ class Simulator:
         live processes remain with nothing scheduled, and re-raises the
         first exception of any crashed process (:class:`SimulationError`
         subclasses propagate unwrapped; other exceptions are wrapped with
-        the crashing process's label).
+        the crashing process's label).  ``until`` must not lie before
+        :attr:`now`: the clock never moves backwards.
 
         ``max_events`` / ``max_wall_seconds`` arm a watchdog: exceeding
         either budget raises a diagnostic :class:`WatchdogError` naming
         the still-live processes — turning runaway or silently-wrong
-        simulations into actionable failures.  The watchdog and an attached
-        tracer run in a separate guarded loop so the ordinary hot loop
-        stays untouched.
+        simulations into actionable failures.  Wall time is read every
+        ``_WATCHDOG_CHECK_EVERY`` events.  With a tracer attached the
+        run also counts its events (:attr:`steps_traced`) and samples
+        the pending-queue depth every ``_TRACE_SAMPLE_EVERY`` events,
+        plus once when it returns, as an ``engine`` counter track.
         """
-        if (max_events is not None or max_wall_seconds is not None
-                or self._trace_on):
-            return self._run_guarded(until, max_events, max_wall_seconds)
+        if until is not None and until < self._now:
+            raise ValueError(
+                f"run(until={until!r}) is in the past (now={self._now!r})")
         imm = self._imm
         heap = self._heap
         crashed = self._crashed
         heappop = heapq.heappop
-        while imm or heap or self._soa_head is not None:
-            if until is not None and self.peek() > until:
-                self._now = until
-                break
-            soa_key = self._soa_head
-            if imm:
-                head = imm[0]
-                heap_head = heap[0] if heap else None
-                if ((heap_head is None or head < heap_head)
-                        and (soa_key is None or head[0] < soa_key[0]
-                             or (head[0] == soa_key[0]
-                                 and head[1] < soa_key[1]))):
-                    # Batched zero-delay drain.  The barrier (earliest
-                    # heap/SoA key) is computed once for the cascade:
-                    # anything scheduled *during* the drain lands either
-                    # on this deque (at now, correctly ordered) or in
-                    # the strict future (positive delays only), so no
-                    # new entry can ever beat the cached barrier.
-                    if heap_head is not None and (
-                            soa_key is None
-                            or (heap_head[0], heap_head[1]) < soa_key):
-                        bar_t, bar_s = heap_head[0], heap_head[1]
-                    elif soa_key is not None:
-                        bar_t, bar_s = soa_key
-                    else:
-                        bar_t = None
-                    if bar_t is None:
-                        while imm:
-                            when, _seq, event = imm.popleft()
-                            self._now = when
-                            event._process_callbacks()
-                            if crashed:
-                                self._raise_crashed(*crashed[0])
-                    else:
-                        while imm:
-                            head = imm[0]
-                            if (head[0] > bar_t
-                                    or (head[0] == bar_t and head[1] > bar_s)):
-                                break
-                            imm.popleft()
-                            self._now = head[0]
-                            head[2]._process_callbacks()
-                            if crashed:
-                                self._raise_crashed(*crashed[0])
-                    continue
-            # Earliest pending entry sits on the heap or the SoA run.
-            if heap and (soa_key is None
-                         or (heap[0][0], heap[0][1]) < soa_key):
-                when, _seq, event = heappop(heap)
-                self._now = when
-                event._process_callbacks()
-            else:
-                self._drain_soa(until)
-            if crashed:
-                self._raise_crashed(*crashed[0])
-        else:
-            if self._live_processes > 0 and until is None:
-                self._raise_deadlock()
-        return self._now
-
-    def _drain_soa(self, until: Optional[float]) -> None:
-        """Fire a run of SoA entries without per-event dispatch.
-
-        Precondition (guaranteed by the ``run()`` loop): the earliest
-        SoA entry is the globally earliest pending event and, when
-        ``until`` is set, fires at or before it — so at least one entry
-        is always in range.  The drain stops at the earliest immediate/
-        heap key (``searchsorted`` on the time column), at ``until``, or
-        at the first payload that runs user code (a real :class:`Event`
-        with callbacks, or a :class:`TickBatch` completion) — returning
-        to the main loop keeps the array snapshot below valid, since
-        anonymous ticks and callback-free events never schedule.
-        """
-        soa = self._soa
-        times = soa.times
-        events = soa.events
-        n = times.size
-        limit = n
-        imm = self._imm
-        heap = self._heap
-        bar: Optional[Tuple[float, int]] = None
-        if imm:
-            head = imm[0]
-            bar = (head[0], head[1])
-        if heap:
-            hh = heap[0]
-            if bar is None or (hh[0], hh[1]) < bar:
-                bar = (hh[0], hh[1])
-        if bar is not None:
-            bar_t, bar_s = bar
-            lo = int(np.searchsorted(times, bar_t, side="left"))
-            hi = int(np.searchsorted(times, bar_t, side="right"))
-            if hi > lo:
-                # Split the time tie on seq (the run is (time, seq)-sorted).
-                lo += int(np.searchsorted(soa.seqs[lo:hi], bar_s))
-            if lo < limit:
-                limit = lo
-        if until is not None:
-            in_range = int(np.searchsorted(times, until, side="right"))
-            if in_range < limit:
-                limit = in_range
-        ev_positions = soa.ev_positions
-        ev_ptr = soa.ev_ptr
-        n_ev = ev_positions.size
-        fired = soa.fired
-        i = soa.pos
-        while i < limit:
-            nxt = int(ev_positions[ev_ptr]) if ev_ptr < n_ev else n
-            if nxt >= limit:
-                # Pure anonymous-tick span to the limit: count each tick
-                # and land the clock on the last one.
-                fired += limit - i
-                self._now = float(times[limit - 1])
-                i = limit
-                break
-            if nxt > i:
-                fired += nxt - i
-                i = nxt
-            event = events[i]
-            self._now = float(times[i])
-            i += 1
-            ev_ptr += 1
-            fired += 1
-            if type(event) is TickBatch:
-                soa.pos = i
-                soa.ev_ptr = ev_ptr
-                soa.fired = fired
-                self._soa_head = soa.head()
-                event._complete_now()
-                return
-            if event.callbacks:
-                soa.pos = i
-                soa.ev_ptr = ev_ptr
-                soa.fired = fired
-                self._soa_head = soa.head()
-                event._process_callbacks()
-                return
-            # Callback-free Event: firing is just the state flip
-            # Event._process_callbacks would have performed.
-            event._state = _PROCESSED
-        soa.pos = i
-        soa.ev_ptr = ev_ptr
-        soa.fired = fired
-        self._soa_head = soa.head()
-
-    def _run_guarded(self, until: Optional[float],
-                     max_events: Optional[int],
-                     max_wall_seconds: Optional[float]) -> float:
-        """Instrumented twin of the ``run()`` loop: watchdog and tracing.
-
-        Fires the exact same event sequence (it delegates to ``step()``).
-        Wall time is sampled every ``_WATCHDOG_CHECK_EVERY`` steps to
-        keep the per-event cost at one integer compare.  With a tracer
-        attached it also counts events and samples the pending-queue
-        depth every ``_TRACE_SAMPLE_EVERY`` steps, plus once when the
-        run returns, as an ``engine`` counter track.  Kept separate so
-        the untraced, unguarded loop stays branch-free.
-        """
-        step = self.step
-        crashed = self._crashed
         trace_on = self._trace_on
-        tracer = self.tracer
-        budget = float("inf") if max_events is None else int(max_events)
+        budget = None if max_events is None else int(max_events)
         deadline = (None if max_wall_seconds is None
                     else _time.monotonic() + max_wall_seconds)
         steps = 0
+        due = _next_due(0, budget, deadline, trace_on)
         try:
-            while self._imm or self._heap or self._soa_head is not None:
-                if until is not None and self.peek() > until:
+            # ``while True`` rather than ``while imm or heap``: on CPython
+            # 3.11 only an unconditional backward jump warms a function up
+            # for specialisation, and one long run() is one call.
+            while True:
+                # Same head choice as step().  An immediate entry fires
+                # at a time the clock already reached, so only the heap
+                # can hold something beyond ``until``.
+                if imm and not (heap and heap[0] < imm[0]):
+                    when, _seq, event = imm.popleft()
+                elif not heap:
+                    if self._live_processes > 0 and until is None:
+                        self._raise_deadlock()
+                    break
+                elif until is not None and heap[0][0] > until:
                     self._now = until
                     break
-                step()
+                else:
+                    when, _seq, event = heappop(heap)
+                self._now = when
+                event._process_callbacks()
                 steps += 1
-                if steps > budget:
-                    raise WatchdogError(
-                        f"simulation exceeded max_events={max_events} at "
-                        f"t={self._now:g} with {self._live_processes} live "
-                        f"process(es){self._blocked_detail()}"
-                    )
-                if (deadline is not None
-                        and steps % _WATCHDOG_CHECK_EVERY == 0
-                        and _time.monotonic() > deadline):
-                    raise WatchdogError(
-                        f"simulation exceeded max_wall_seconds="
-                        f"{max_wall_seconds} after {steps} events at "
-                        f"t={self._now:g} with {self._live_processes} live "
-                        f"process(es){self._blocked_detail()}"
-                    )
-                if trace_on and steps % _TRACE_SAMPLE_EVERY == 0:
-                    tracer.counter("engine", "queue_depth", self._now,
-                                   len(self._imm) + len(self._heap)
-                                   + len(self._soa))
+                if steps >= due:
+                    if budget is not None and steps > budget:
+                        raise WatchdogError(
+                            f"simulation exceeded max_events={max_events} at "
+                            f"t={self._now:g} with {self._live_processes} live "
+                            f"process(es){self._blocked_detail()}"
+                        )
+                    if (deadline is not None
+                            and steps % _WATCHDOG_CHECK_EVERY == 0
+                            and _time.monotonic() > deadline):
+                        raise WatchdogError(
+                            f"simulation exceeded max_wall_seconds="
+                            f"{max_wall_seconds} after {steps} events at "
+                            f"t={self._now:g} with {self._live_processes} live "
+                            f"process(es){self._blocked_detail()}"
+                        )
+                    if trace_on and steps % _TRACE_SAMPLE_EVERY == 0:
+                        self.tracer.counter("engine", "queue_depth", self._now,
+                                            len(imm) + len(heap))
+                    due = _next_due(steps, budget, deadline, trace_on)
                 if crashed:
                     self._raise_crashed(*crashed[0])
-            else:
-                if self._live_processes > 0 and until is None:
-                    self._raise_deadlock()
         finally:
             if trace_on:
                 self._steps_traced += steps
         if trace_on:
-            tracer.counter("engine", "queue_depth", self._now,
-                           len(self._imm) + len(self._heap) + len(self._soa))
+            self.tracer.counter("engine", "queue_depth", self._now,
+                                len(imm) + len(heap))
         return self._now
 
     def peek(self) -> float:
@@ -766,20 +486,7 @@ class Simulator:
             t = self._imm[0][0]
         if self._heap and self._heap[0][0] < t:
             t = self._heap[0][0]
-        soa_head = self._soa_head
-        if soa_head is not None and soa_head[0] < t:
-            t = soa_head[0]
         return t
-
-    @property
-    def batched_pending(self) -> int:
-        """Batch-scheduled (SoA) events still pending."""
-        return len(self._soa)
-
-    @property
-    def batched_fired(self) -> int:
-        """Batch-scheduled (SoA) events fired since construction/reset."""
-        return self._soa.fired
 
     def reset(self) -> None:
         """Restore a pristine clock/queues in place (between benchmark reps).
@@ -791,8 +498,6 @@ class Simulator:
         self._now = 0.0
         self._heap.clear()
         self._imm.clear()
-        self._soa.clear()
-        self._soa_head = None
         self._seq = count()
         self._live_processes = 0
         self._processes.clear()

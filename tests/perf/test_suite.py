@@ -8,12 +8,13 @@ from repro.perf import run_suite, write_report
 from repro.perf.suite import (
     MIN_ATLAS_QUERIES_PER_S,
     SCHEMA,
+    _engine_workload,
     _find_strategy,
     compare_reports,
     main,
 )
 
-WORKLOADS = ["engine", "des_batched", "pingpong", "spmv", "scenarios",
+WORKLOADS = ["engine", "pingpong", "spmv", "scenarios",
              "sweep_fused", "hier_strategies", "atlas_query", "hop_plan",
              "obs_overhead", "sweep_parallel"]
 
@@ -50,13 +51,8 @@ def test_smoke_suite_runs_and_reports(tmp_path, capsys):
     hop_plan = next(r for r in results if r.name == "hop_plan")
     assert "speedup_vectorized" in hop_plan.metrics
     assert "speedup_vectorized_per_s" not in hop_plan.metrics
-    # the SoA kernel workload enforces its >= 5x floor internally;
+    # the fused sweep workload enforces its >= 10x floor internally;
     # explicit rates get no second _per_s companion
-    des = next(r for r in results if r.name == "des_batched")
-    assert des.metrics["speedup_batched"] >= 5.0
-    assert "batched_events_per_s" in des.metrics
-    assert "batched_events_per_s_per_s" not in des.metrics
-    # the fused sweep workload enforces its >= 10x floor internally
     fused = next(r for r in results if r.name == "sweep_fused")
     assert fused.metrics["speedup_fused"] >= 10.0
     assert "fused_cells_per_s" in fused.metrics
@@ -79,7 +75,7 @@ def test_smoke_suite_runs_and_reports(tmp_path, capsys):
     assert on_disk == json.loads(json.dumps(report))
     assert on_disk["suite"] == "repro.perf"
     assert on_disk["schema"] == SCHEMA
-    assert SCHEMA == 6
+    assert SCHEMA == 7
     assert on_disk["smoke"] is True
     assert on_disk["machine"] == "lassen"
     assert on_disk["total_wall_s"] > 0.0
@@ -109,10 +105,16 @@ def test_repeats_override(tmp_path, capsys):
         assert w["wall_median_s"] >= w["wall_s"]
 
 
-def _fake_report(wall_by_name, smoke=True):
+def test_engine_floor_is_enforced():
+    # per CPU-second, inside the workload (see MIN_ENGINE_EVENTS_PER_S)
+    with pytest.raises(AssertionError, match="below the"):
+        _engine_workload(procs=2, timeouts=10, min_events_per_s=1e12)()
+
+
+def _fake_report(wall_by_name, smoke=True, schema=SCHEMA):
     return {
         "suite": "repro.perf",
-        "schema": SCHEMA,
+        "schema": schema,
         "smoke": smoke,
         "workloads": [
             {"name": name, "wall_s": wall, "wall_median_s": wall,
@@ -153,6 +155,16 @@ class TestCompareReports:
         cur = _fake_report({"engine": 1.0}, smoke=True)
         messages = compare_reports(base, cur)
         assert messages and "not comparable" in messages[0]
+
+    def test_schema_mismatch_is_a_failure(self):
+        # a baseline from another suite version must not be compared
+        # over whatever workload names happen to intersect
+        base = _fake_report({"engine": 1.0}, schema=SCHEMA - 1)
+        cur = _fake_report({"engine": 1.0})
+        messages = compare_reports(base, cur)
+        assert len(messages) == 1
+        assert f"schema={SCHEMA - 1}" in messages[0]
+        assert f"schema={SCHEMA}" in messages[0]
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
@@ -199,6 +211,18 @@ class TestOnlyFilter:
     def test_unknown_workload_is_diagnosable(self):
         with pytest.raises(ValueError, match="no-such-workload"):
             run_suite(smoke=True, verbose=False, only=["no-such-workload"])
+
+    def test_cli_unknown_workload_is_a_usage_error(self, tmp_path, capsys):
+        # exit 2 and one line naming the workloads, not a traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["--smoke", "--only", "engine,no-such-workload",
+                  "-o", str(tmp_path / "bench.json")])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "no-such-workload" in last
+        for name in WORKLOADS:
+            assert name in last
+        assert not (tmp_path / "bench.json").exists()
 
 
 def test_repeats_must_be_positive():

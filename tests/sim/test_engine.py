@@ -162,6 +162,18 @@ class TestEngine:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_run_until_in_the_past_raises(self, sim):
+        # the clock never runs backwards: the immediate deque is sorted
+        # only because of that
+        sim.timeout(10.0)
+        sim.timeout(20.0)
+        assert sim.run(until=15.0) == 15.0
+        with pytest.raises(ValueError, match=r"until=5\.0.*now=15\.0"):
+            sim.run(until=5.0)
+        assert sim.now == 15.0
+        assert sim.run(until=15.0) == 15.0  # the present is allowed
+        assert sim.run() == 20.0
+
     def test_peek_empty_is_inf(self, sim):
         assert sim.peek() == float("inf")
 

@@ -1,11 +1,11 @@
-"""Firing-order parity: optimized three-queue engine vs a pure-heap kernel.
+"""Firing-order parity: the two-queue engine vs a pure-heap kernel.
 
-The production engine splits pending events across an immediate deque,
-a binary heap and a struct-of-arrays run.  These property-style tests
-replay randomized programs — same-time schedules, interrupts, zero-delay
-cascades, fail propagation, batch APIs — on both that engine and a
-single-heap reference that funnels *everything* through one ``heapq``,
-and assert the two fire the identical ``(time, tag)`` sequence.
+The production engine splits pending events across an immediate deque
+and a binary heap.  These property-style tests replay randomized
+programs — same-time schedules, interrupts, zero-delay cascades, fail
+propagation, condition events — on both that engine and a single-heap
+reference that funnels *everything* through one ``heapq``, and assert
+the two fire the identical ``(time, tag)`` sequence.
 """
 
 import heapq
@@ -13,32 +13,18 @@ import heapq
 import numpy as np
 import pytest
 
-from repro.sim import Simulator, TickBatch
+from repro.sim import Simulator
 from repro.sim.engine import Interrupt
-
-
-class _RefTick:
-    """Heap payload standing in for one anonymous SoA tick."""
-
-    __slots__ = ("batch",)
-
-    def __init__(self, batch=None):
-        self.batch = batch
-
-    def _process_callbacks(self):
-        if self.batch is not None:
-            self.batch._complete_now()
 
 
 class HeapReferenceSimulator(Simulator):
     """Single-heap kernel: the ordering oracle.
 
-    Every schedule — zero-delay, positive-delay, engine token, batch —
-    becomes one ``heapq`` push, so the fired order is *defined* by the
-    heap's ``(time, seq)`` tuple order.  Sequence numbers are claimed in
-    the same order as the optimized engine (one per event, batch entries
-    in input order), so any divergence in fired order is an engine bug,
-    not a numbering artifact.
+    Every schedule — zero-delay, positive-delay, engine token — becomes
+    one ``heapq`` push, so the fired order is *defined* by the heap's
+    ``(time, seq)`` tuple order.  Sequence numbers are claimed in the
+    same order as the production engine (one per event), so any
+    divergence in fired order is an engine bug, not a numbering artifact.
     """
 
     def _schedule(self, event, delay=0.0):
@@ -49,30 +35,6 @@ class HeapReferenceSimulator(Simulator):
 
     def _schedule_token(self, token):
         heapq.heappush(self._heap, (self._now, next(self._seq), token))
-
-    def schedule_ticks(self, delays, complete=False):
-        delays = self._check_batch_delays(delays)
-        n = int(delays.size)
-        batch = TickBatch(self, n, complete)
-        if n == 0:
-            if complete:
-                batch.completed.succeed(batch)
-            return batch
-        times = (self._now + delays).tolist()
-        last = max(range(n), key=lambda i: (times[i], i)) if complete else -1
-        for i, when in enumerate(times):
-            payload = _RefTick(batch if i == last else None)
-            heapq.heappush(self._heap, (when, next(self._seq), payload))
-        return batch
-
-    def timeout_batch(self, delays, values=None):
-        delays = self._check_batch_delays(delays)
-        n = int(delays.size)
-        if values is not None and len(values) != n:
-            raise ValueError(f"values length {len(values)} != delays length {n}")
-        vals = values if values is not None else (None,) * n
-        return [self.timeout(d, value=v)
-                for d, v in zip(delays.tolist(), vals)]
 
 
 def both_engines():
@@ -89,7 +51,7 @@ def _build_plan(seed, n_ops=40):
     """A deterministic random program: op list drawn from a seeded rng.
 
     Integer delays on a tiny range force heavy (time, seq) ties, the
-    regime where deque/heap/SoA tie-breaking must agree exactly.
+    regime where deque/heap tie-breaking must agree exactly.
     """
     rng = np.random.default_rng(seed)
     ops = []
@@ -99,32 +61,37 @@ def _build_plan(seed, n_ops=40):
             ops.append(("timeout", float(rng.integers(1, 6))))
         elif kind == 1:
             size = int(rng.integers(1, 5))
-            ops.append(("batch", [float(x)
+            ops.append(("burst", [float(x)
                                   for x in rng.integers(1, 6, size)]))
         elif kind == 2:
             size = int(rng.integers(1, 5))
-            ops.append(("ticks", [float(x)
-                                  for x in rng.integers(1, 6, size)]))
+            ops.append(("all_of", [float(x)
+                                   for x in rng.integers(1, 6, size)]))
         else:
             ops.append(("proc", float(rng.integers(1, 6)),
                         float(rng.integers(1, 6))))
     return ops
 
 
-def _execute(sim, plan):
+def _step_until_empty(sim):
+    while sim.peek() != float("inf"):
+        sim.step()
+
+
+def _execute(sim, plan, drive=Simulator.run):
     log = []
     for i, op in enumerate(plan):
         if op[0] == "timeout":
             t = sim.timeout(op[1], value=f"T{i}")
             t.callbacks.append(_record(log))
-        elif op[0] == "batch":
-            ts = sim.timeout_batch(
-                op[1], values=[f"B{i}.{j}" for j in range(len(op[1]))])
-            for t in ts:
+        elif op[0] == "burst":
+            for j, d in enumerate(op[1]):
+                t = sim.timeout(d, value=f"B{i}.{j}")
                 t.callbacks.append(_record(log))
-        elif op[0] == "ticks":
-            b = sim.schedule_ticks(op[1], complete=True)
-            b.completed.callbacks.append(
+        elif op[0] == "all_of":
+            # fires (zero-delay) when the last of its timeouts does
+            done = sim.all_of([sim.timeout(d) for d in op[1]])
+            done.callbacks.append(
                 lambda ev, i=i: log.append((ev.sim.now, f"K{i}")))
         else:
             _, d1, d2 = op
@@ -141,11 +108,14 @@ def _execute(sim, plan):
                 log.append((sim.now, f"P{i}-end"))
 
             sim.process(proc(sim))
-    sim.run()
+    drive(sim)
     return log
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 42, 1234])
+SEEDS = [0, 1, 2, 3, 17, 42, 1234]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_random_mixed_programs_match_reference(seed):
     opt, ref = both_engines()
     plan = _build_plan(seed)
@@ -155,26 +125,13 @@ def test_random_mixed_programs_match_reference(seed):
     assert opt.now == ref.now
 
 
-@pytest.mark.parametrize("seed", [5, 6, 7])
-def test_large_batches_match_reference(seed):
-    """Bulk SoA traffic interleaved with scalar timeouts."""
-    rng = np.random.default_rng(seed)
-    delays = rng.integers(1, 20, 200).astype(float)
-    singles = rng.integers(1, 20, 30).astype(float)
-
-    def execute(sim):
-        log = []
-        ts = sim.timeout_batch(delays, values=list(range(delays.size)))
-        for t in ts:
-            t.callbacks.append(_record(log))
-        for j, d in enumerate(singles.tolist()):
-            t = sim.timeout(d, value=f"s{j}")
-            t.callbacks.append(_record(log))
-        sim.run()
-        return log
-
-    opt, ref = both_engines()
-    assert execute(opt) == execute(ref)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_step_until_empty_fires_what_run_fires(seed):
+    """``step()`` and the ``run()`` loop make the same head choice."""
+    plan = _build_plan(seed)
+    ran, stepped = Simulator(), Simulator()
+    assert _execute(stepped, plan, _step_until_empty) == _execute(ran, plan)
+    assert stepped.now == ran.now
 
 
 # -- targeted scenarios --------------------------------------------------------
@@ -199,9 +156,8 @@ def _interrupt_scenario(sim):
         log.append((sim.now, "poked"))
 
     sim.process(poker(sim))
-    ts = sim.timeout_batch([3.0, 4.0], values=["b3", "b4"])
-    for t in ts:
-        t.callbacks.append(_record(log))
+    for d, tag in [(3.0, "b3"), (4.0, "b4")]:
+        sim.timeout(d, value=tag).callbacks.append(_record(log))
     sim.run()
     return log
 
@@ -215,12 +171,12 @@ def _same_time_scenario(sim):
     """Many sources all landing on t=1.0: order must be schedule order."""
     log = []
     sim.timeout(1.0, value="h0").callbacks.append(_record(log))
-    for t in sim.timeout_batch([1.0, 1.0], values=["b0", "b1"]):
-        t.callbacks.append(_record(log))
+    for tag in ["b0", "b1"]:
+        sim.timeout(1.0, value=tag).callbacks.append(_record(log))
     sim.timeout(1.0, value="h1").callbacks.append(_record(log))
-    batch = sim.schedule_ticks([1.0, 1.0], complete=True)
-    batch.completed.callbacks.append(
-        lambda ev: log.append((ev.sim.now, "ticks-done")))
+    both = sim.all_of([sim.timeout(1.0), sim.timeout(1.0)])
+    both.callbacks.append(
+        lambda ev: log.append((ev.sim.now, "both-done")))
     sim.timeout(1.0, value="h2").callbacks.append(_record(log))
     sim.run()
     return log
@@ -230,11 +186,11 @@ def test_same_time_schedules_match_reference():
     opt, ref = both_engines()
     log_opt = _same_time_scenario(opt)
     assert log_opt == _same_time_scenario(ref)
-    # schedule order is the tie-break; the ticks' completion event is
-    # succeed()-ed when the last tick fires, so it lands one seq later
-    # in the immediate queue — after h2, still at t=1.0
+    # schedule order is the tie-break; the condition is succeed()-ed
+    # when its last timeout fires, so it lands one seq later in the
+    # immediate queue — after h2, still at t=1.0
     assert [tag for _, tag in log_opt] == \
-        ["h0", "b0", "b1", "h1", "h2", "ticks-done"]
+        ["h0", "b0", "b1", "h1", "h2", "both-done"]
 
 
 def _fail_scenario(sim):
@@ -252,9 +208,9 @@ def _fail_scenario(sim):
 
     sim.process(waiter(sim, "w1"))
     sim.process(waiter(sim, "w2"))
-    # batch events straddle the failure time
-    for t in sim.timeout_batch([1.0, 2.0, 3.0], values=["a", "b", "c"]):
-        t.callbacks.append(_record(log))
+    # timeouts straddle the failure time
+    for d, tag in [(1.0, "a"), (2.0, "b"), (3.0, "c")]:
+        sim.timeout(d, value=tag).callbacks.append(_record(log))
     sim.run()
     return log
 
@@ -265,7 +221,7 @@ def test_fail_propagation_matches_reference():
 
 
 def _cascade_scenario(sim):
-    """Zero-delay chains spawned from batch ticks vs heap timeouts."""
+    """Zero-delay chains spawned from heap timeouts."""
     log = []
 
     def chain(sim, depth, tag):
@@ -277,8 +233,8 @@ def _cascade_scenario(sim):
                                 chain(e.sim, d - 1, tag)))
         ev.succeed(None)
 
-    for t in sim.timeout_batch([1.0, 2.0], values=["c1", "c2"]):
-        t.callbacks.append(
+    for d, tag in [(1.0, "c1"), (2.0, "c2")]:
+        sim.timeout(d, value=tag).callbacks.append(
             lambda ev: (log.append((ev.sim.now, ev.value)),
                         chain(ev.sim, 3, ev.value)))
     mid = sim.timeout(1.0, value="m")
@@ -291,16 +247,6 @@ def test_zero_delay_cascades_match_reference():
     opt, ref = both_engines()
     log_opt = _cascade_scenario(opt)
     assert log_opt == _cascade_scenario(ref)
-    # the cascade at t=1 drains before the later batch tick at t=2
+    # the cascade at t=1 drains before the later timeout at t=2
     tags = [tag for _, tag in log_opt]
     assert tags.index("c1@1") < tags.index("c2")
-
-
-def test_reference_and_engine_agree_on_sequence_claims():
-    """Seq parity: batch block claims line up with per-event claims."""
-    opt, ref = both_engines()
-    for sim in (opt, ref):
-        sim.timeout(1.0)
-        sim.timeout_batch([1.0, 2.0])
-        sim.timeout(3.0)
-    assert next(opt._seq) == next(ref._seq)
