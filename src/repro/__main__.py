@@ -57,6 +57,10 @@ them opts the sweep into *supervised* execution — watchdog deadlines,
 pool respawn after worker loss, seeded retry with quarantine, and
 incremental checkpointing so a killed run can ``--resume`` and
 re-execute only missing shards (see docs/resilience.md).
+
+Input that fails validation — an unknown ``--machine``, a negative or
+non-finite size, a path that is not there — ends in one line on stderr
+and exit status 2, like an argparse usage error.
 """
 
 from __future__ import annotations
@@ -236,6 +240,18 @@ def main(argv=None) -> int:
         print(f"repro {repro.__version__}")
         return 0
     cmd, rest = argv[0], argv[1:]
+    try:
+        return _dispatch(cmd, rest)
+    except (ValueError, FileNotFoundError) as exc:
+        # What input validation raises (a size below zero, an unknown
+        # --machine, a path that is not there): one line and the usage
+        # exit status, not a traceback.  Library callers of the
+        # functions underneath still get the exception.
+        print(f"python -m repro {cmd}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(cmd: str, rest: list) -> int:
     if cmd == "info":
         _info()
     elif cmd == "report":

@@ -117,8 +117,25 @@ def assemble(records: Iterable[Record],
     Returns
     -------
     ``{src_gpu: full message array}``.  Raises if records overlap,
-    leave gaps, or address the wrong destination.
+    leave gaps, or address the wrong destination.  Handed exactly one
+    whole message per expected source (what every strategy but Split
+    delivers) the result holds the records' own arrays, not copies.
     """
+    records = list(records)
+    whole: Dict[int, np.ndarray] = dict.fromkeys(expected_lengths)
+    want = np.dtype(dtype)
+    for rec in records:
+        values = rec.values
+        src = rec.src_gpu
+        if (rec.offset or rec.dest_gpu != dest_gpu
+                or len(values) != expected_lengths.get(src)
+                or whole[src] is not None
+                or values.dtype != want):
+            break  # not whole messages: copy, sweep and diagnose below
+        whole[src] = values
+    else:
+        if len(records) == len(whole):
+            return whole
     out = {src: np.empty(length, dtype=dtype)
            for src, length in expected_lengths.items()}
     #: per source, the ``[lo, hi)`` element ranges written so far
@@ -211,16 +228,29 @@ def expand_node_record(rec: NodeRecord,
     element index of the first overlapping entry — so reassembly via
     :func:`assemble` works even when the union stream was split
     arbitrarily (Split's message cap).
+
+    A slice that starts at the head of the stream (every node record
+    but Split's later chunks) has nothing before it: the overlap starts
+    at a destination's first entry, and when its last position lies
+    inside the slice the overlap is the whole map — no search at all.
     """
-    lo, hi = rec.offset, rec.offset + rec.n
+    values = rec.values
+    lo = rec.offset
+    hi = lo + len(values)
+    src_gpu = rec.src_gpu
     out: List[Record] = []
     for dest_gpu, pos in positions.items():
-        k0 = int(np.searchsorted(pos, lo, side="left"))
-        k1 = int(np.searchsorted(pos, hi, side="left"))
+        if lo == 0:
+            if len(pos) and pos[-1] < hi:
+                out.append(Record(src_gpu, dest_gpu, 0, values[pos]))
+                continue
+            k0 = 0
+        else:
+            k0 = int(pos.searchsorted(lo))
+        k1 = pos.searchsorted(hi)
         if k0 == k1:
             continue
-        vals = rec.values[pos[k0:k1] - lo]
-        out.append(Record(rec.src_gpu, dest_gpu, k0, vals))
+        out.append(Record(src_gpu, dest_gpu, k0, values[pos[k0:k1] - lo]))
     return out
 
 

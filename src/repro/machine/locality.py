@@ -36,6 +36,14 @@ class Locality(enum.Enum):
     ON_NODE = "on-node"      # same node, different sockets
     OFF_NODE = "off-node"    # different nodes (network traversal)
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent — and C-level, where ``Enum.__hash__`` is a Python
+    # call per lookup of a key holding a member (the DES route and tally
+    # tables take several per message).  Like the name hash it replaces
+    # it differs from process to process: never iterate a set of members
+    # where order matters.  Same on the other enums of this module.
+    __hash__ = object.__hash__
+
     @property
     def crosses_network(self) -> bool:
         return self is Locality.OFF_NODE
@@ -49,6 +57,8 @@ class TransportKind(enum.Enum):
 
     CPU = "cpu"
     GPU = "gpu"
+
+    __hash__ = object.__hash__  # see Locality
 
     def __str__(self) -> str:
         return self.value
@@ -70,6 +80,8 @@ class Protocol(enum.Enum):
     SHORT = "short"
     EAGER = "eager"
     RENDEZVOUS = "rendezvous"
+
+    __hash__ = object.__hash__  # see Locality
 
     @property
     def is_synchronous(self) -> bool:
@@ -205,6 +217,8 @@ class CopyDirection(enum.Enum):
 
     H2D = "host-to-device"
     D2H = "device-to-host"
+
+    __hash__ = object.__hash__  # see Locality (copy-table keys)
 
     def __str__(self) -> str:
         return "H2D" if self is CopyDirection.H2D else "D2H"

@@ -63,6 +63,18 @@ PAPER_SCENARIOS = (
 )
 
 
+def _check_sizes(sizes: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every size lies in ``[0, inf)``.
+
+    Written as "not inside" because NaN fails every comparison:
+    ``nan < 0`` is false and used to pass.
+    """
+    ok = (sizes >= 0) & (sizes < np.inf)
+    if not ok.all():
+        raise ValueError(
+            f"msg sizes must be >= 0 and finite, got {sizes[~ok].flat[0]!r}")
+
+
 def scenario_summary(machine: MachineSpec, scenario: Scenario,
                      msg_size: float) -> PatternSummary:
     """Table-7 quantities for one scenario at one message size.
@@ -70,8 +82,9 @@ def scenario_summary(machine: MachineSpec, scenario: Scenario,
     Messages are distributed evenly over destination nodes and over the
     sending node's GPUs, as in the paper's construction.
     """
-    if msg_size < 0:
-        raise ValueError(f"msg_size must be >= 0, got {msg_size!r}")
+    if not 0 <= msg_size < np.inf:  # NaN fails both comparisons
+        raise ValueError(
+            f"msg_size must be >= 0 and finite, got {msg_size!r}")
     gpn = max(machine.gpus_per_node, 1)
     n = scenario.num_dest_nodes
     m = scenario.num_messages
@@ -98,8 +111,7 @@ def scenario_summary_batch(machine: MachineSpec, scenario: Scenario,
     multiplications as the scalar constructor.
     """
     msg_size = np.asarray(sizes, dtype=float)
-    if np.any(msg_size < 0):
-        raise ValueError("msg sizes must be >= 0")
+    _check_sizes(msg_size)
     gpn = max(machine.gpus_per_node, 1)
     n = scenario.num_dest_nodes
     m = scenario.num_messages
@@ -134,8 +146,7 @@ def _joint_scenario_batch(machine: MachineSpec,
     scenarios one at a time.  ``keep`` carries ``1.0 - dup_fraction``
     per element for the node-aware byte scaling.
     """
-    if np.any(sizes < 0):
-        raise ValueError("msg sizes must be >= 0")
+    _check_sizes(sizes)
     gpn = max(machine.gpus_per_node, 1)
     n = np.array([sc.num_dest_nodes for sc in scenarios], dtype=int)
     m = np.array([sc.num_messages for sc in scenarios], dtype=int)

@@ -88,8 +88,9 @@ class TransportStats:
     bytes_sent: int = 0
     off_node_messages: int = 0
     off_node_bytes: int = 0
-    by_protocol: "Counter[Protocol]" = field(default_factory=Counter)
-    by_locality: "Counter[Locality]" = field(default_factory=Counter)
+    #: ``(protocol, locality) -> messages``: the one tally a message
+    #: bumps; :attr:`by_protocol` / :attr:`by_locality` are views of it
+    tally: Dict[Tuple[Protocol, Locality], int] = field(default_factory=dict)
     # -- resilience counters (all zero without an active fault plan) --------
     #: retransmits performed after a lost attempt
     retries: int = 0
@@ -100,14 +101,22 @@ class TransportStats:
     #: device-aware ranks that degraded to the staged path this run
     degraded: int = 0
 
-    def record(self, protocol: Protocol, locality: Locality, nbytes: int) -> None:
-        self.messages += 1
-        self.bytes_sent += nbytes
-        if locality is Locality.OFF_NODE:
-            self.off_node_messages += 1
-            self.off_node_bytes += nbytes
-        self.by_protocol[protocol] += 1
-        self.by_locality[locality] += 1
+    def _fold(self, axis: int) -> Counter:
+        """The tally summed onto one axis of its key (a fresh ``Counter``)."""
+        out: Counter = Counter()
+        for key, n in self.tally.items():
+            out[key[axis]] += n
+        return out
+
+    @property
+    def by_protocol(self) -> "Counter[Protocol]":
+        """Messages per protocol."""
+        return self._fold(0)
+
+    @property
+    def by_locality(self) -> "Counter[Locality]":
+        """Messages per locality."""
+        return self._fold(1)
 
 
 class MessageTiming:
@@ -235,6 +244,7 @@ class Transport:
             for (kind, proto, loc), link in params.table.items()
         }
         self._node_of = layout._node_of
+        self._locality_rows = layout._locality_rows
         self.set_faults(faults if faults is not None else NO_FAULTS)
 
     # -- noise ---------------------------------------------------------------
@@ -364,7 +374,9 @@ class Transport:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        locality = self.layout.locality(src, dest)
+        rows = self._locality_rows
+        locality = (rows[src][dest] if rows is not None
+                    else self.layout.locality(src, dest))
         synchronous = protocol is Protocol.RENDEZVOUS
         link = self._route[(kind, locality, protocol)]
         alpha = link.alpha
@@ -390,9 +402,11 @@ class Transport:
         if fault_free:
             delivery = start + base
             if locality is Locality.OFF_NODE:
-                nic = self.nic_of(self._node_of[src], kind)
-                if nic is not None:
-                    nic_done = nic.completion_time(nbytes, start=start + alpha)
+                nics = (self._gpu_nics if kind is TransportKind.GPU
+                        else self._cpu_nics)
+                if nics is not None:
+                    nic_done = nics[self._node_of[src]].completion_time(
+                        nbytes, start=start + alpha)
                     delivery = max(delivery, nic_done)
         else:
             delivery, attempts, error = self._resolve_attempts(
@@ -401,7 +415,14 @@ class Transport:
         # A drop is learnt of by both sides at the give-up time.
         send_complete = (delivery if synchronous or error is not None
                          else start + alpha)
-        self.stats.record(protocol, locality, nbytes)
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes_sent += nbytes
+        if locality is Locality.OFF_NODE:
+            stats.off_node_messages += 1
+            stats.off_node_bytes += nbytes
+        key = (protocol, locality)
+        stats.tally[key] = stats.tally.get(key, 0) + 1
         tracer = self.sim.tracer
         if self.trace_enabled or tracer.enabled:
             phase = phase_name(tag)

@@ -10,13 +10,15 @@ exactly what the communication strategies exchange.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.pattern import CommPattern
 from repro.sparse.partition import RowPartition
+
+if TYPE_CHECKING:  # matrices are built lazily: see the functions
+    import scipy.sparse as sp
 
 
 class DistributedCSR:
@@ -31,6 +33,8 @@ class DistributedCSR:
     """
 
     def __init__(self, matrix: sp.spmatrix, num_gpus: int) -> None:
+        import scipy.sparse as sp
+
         matrix = sp.csr_matrix(matrix)
         n_rows, n_cols = matrix.shape
         if n_rows != n_cols:

@@ -10,14 +10,18 @@ deterministic, returning ``scipy.sparse.csr_matrix``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # matrices are built lazily: see the functions
+    import scipy.sparse as sp
 
 
 def _symmetrize(coo: sp.coo_matrix, n: int) -> sp.csr_matrix:
     """Pattern-symmetric CSR with a full diagonal (SPD-like structure)."""
+    import scipy.sparse as sp
+
     a = coo.tocsr()
     a = a + a.T
     a = a + sp.identity(n, format="csr")
@@ -35,6 +39,8 @@ def banded_fem(n: int, bandwidth: int, nnz_per_row: int,
     3-D FEM stiffness matrices (Serena, Geo_1438, bone010 ...).  The
     result is pattern-symmetric with a full diagonal.
     """
+    import scipy.sparse as sp
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if bandwidth < 1 or bandwidth >= n:
@@ -52,6 +58,8 @@ def banded_fem(n: int, bandwidth: int, nnz_per_row: int,
 
 def stencil5(nx: int, ny: Optional[int] = None) -> sp.csr_matrix:
     """5-point 2-D Laplacian stencil (thermal-diffusion analog)."""
+    import scipy.sparse as sp
+
     ny = nx if ny is None else ny
     if nx < 1 or ny < 1:
         raise ValueError("grid dims must be >= 1")
@@ -64,6 +72,8 @@ def stencil5(nx: int, ny: Optional[int] = None) -> sp.csr_matrix:
 def stencil27(nx: int, ny: Optional[int] = None,
               nz: Optional[int] = None) -> sp.csr_matrix:
     """27-point 3-D stencil (structured hexahedral FEM analog)."""
+    import scipy.sparse as sp
+
     ny = nx if ny is None else ny
     nz = nx if nz is None else nz
     if min(nx, ny, nz) < 1:
@@ -91,6 +101,8 @@ def arrowhead_fem(n: int, bandwidth: int, nnz_per_row: int,
     block (high message counts on-node *and* inter-node, paper
     Section 4.5).
     """
+    import scipy.sparse as sp
+
     if not 0 < arrow_width < n:
         raise ValueError(f"arrow_width must be in (0, n), got {arrow_width}")
     base = banded_fem(n, bandwidth, nnz_per_row, seed=seed)
@@ -104,6 +116,8 @@ def arrowhead_fem(n: int, bandwidth: int, nnz_per_row: int,
 
 def random_sparse(n: int, density: float, seed: int = 0) -> sp.csr_matrix:
     """Uniformly random pattern (worst-case communication)."""
+    import scipy.sparse as sp
+
     if not 0 < density <= 1:
         raise ValueError(f"density must be in (0, 1], got {density}")
     rng = np.random.default_rng(seed)

@@ -11,16 +11,17 @@ complementary to (and composable with) strategy choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from repro.core.base import CommunicationStrategy, run_exchange
 from repro.machine.topology import JobLayout
 from repro.mpi.job import SimJob
 from repro.sparse.distributed import DistributedCSR
+
+if TYPE_CHECKING:  # matrices are built lazily: see the functions
+    import scipy.sparse as sp
 
 
 def rcm_reorder(matrix: sp.spmatrix) -> Tuple[sp.csr_matrix, np.ndarray]:
@@ -30,6 +31,9 @@ def rcm_reorder(matrix: sp.spmatrix) -> Tuple[sp.csr_matrix, np.ndarray]:
     index.  The permutation is computed on the symmetrized pattern so
     unsymmetric inputs are handled.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     matrix = sp.csr_matrix(matrix)
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got {matrix.shape}")
@@ -42,6 +46,8 @@ def rcm_reorder(matrix: sp.spmatrix) -> Tuple[sp.csr_matrix, np.ndarray]:
 
 def bandwidth(matrix: sp.spmatrix) -> int:
     """Maximum |row - col| over the nonzero pattern."""
+    import scipy.sparse as sp
+
     coo = sp.coo_matrix(matrix)
     if coo.nnz == 0:
         return 0
@@ -80,7 +86,7 @@ def compare_reordering(job: SimJob, matrix: sp.spmatrix, num_gpus: int,
     """Quantify what RCM buys for one (matrix, strategy) combination."""
     reordered, _perm = rcm_reorder(matrix)
     out = {}
-    for key, m in (("before", sp.csr_matrix(matrix)), ("after", reordered)):
+    for key, m in (("before", matrix), ("after", reordered)):
         dist = DistributedCSR(m, num_gpus)
         pattern = dist.comm_pattern()
         summary = pattern.summarize(job.layout)

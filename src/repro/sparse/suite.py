@@ -22,11 +22,12 @@ Geo_1438        1,437,960   60.24 M    wide-band geomechanical FEM
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
-
-import scipy.sparse as sp
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.sparse.generators import arrowhead_fem, banded_fem, stencil5
+
+if TYPE_CHECKING:  # matrices are built lazily: see the functions
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,7 @@ def _with_long_range(base: sp.csr_matrix, n: int, extra: int,
     """Add symmetric random long-range couplings (multi-body contacts,
     constraint equations) so partitions at scale talk to many nodes."""
     import numpy as np
+    import scipy.sparse as sp
 
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n, size=extra)
@@ -92,6 +94,7 @@ def _thermal2(n: int) -> sp.csr_matrix:
     # long-range couplings -> many distinct small messages, the paper's
     # high-inter-node-message-volume case.
     import numpy as np
+    import scipy.sparse as sp
 
     side = max(8, int(round(n ** 0.5)))
     a = stencil5(side, side).tocoo()

@@ -87,6 +87,14 @@ class TestFallback:
         assert answer.winner == best_strategy(machine, scenario, 5_000.0)
         assert index.counters()["atlas.fallbacks.hull"] == 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_size_raises(self, bad):
+        """No size outside [0, inf) gets a winner — it used to be
+        ``Standard (staged)`` for NaN."""
+        index = AtlasIndex(build_atlas(resolve_machine("lassen"), spec=SPEC))
+        with pytest.raises(ValueError, match=f"got .*{bad!r}"):
+            index.lookup(Scenario(num_dest_nodes=4, num_messages=32), bad)
+
     def test_margin_band_forces_exact_near_frontiers(self):
         machine = resolve_machine("lassen")
         # an absurdly wide band: every interpolated query must fall back

@@ -97,6 +97,21 @@ class TestJointBatch:
         with pytest.raises(ValueError, match="msg sizes must be >= 0"):
             _joint_scenario_batch(M, PAPER_SCENARIOS, np.array([8.0, -8.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_size_outside_zero_to_infinity_rejected_everywhere(self, bad):
+        """``nan < 0`` is false: the check is "not inside [0, inf)", and
+        every entry point names the value it refused."""
+        sc = PAPER_SCENARIOS[0]
+        named = f"got .*{bad!r}"
+        with pytest.raises(ValueError, match=named):
+            scenario_summary(M, sc, bad)
+        with pytest.raises(ValueError, match=named):
+            scenario_summary_batch(M, sc, [8.0, bad, 64.0])
+        with pytest.raises(ValueError, match=named):
+            _joint_scenario_batch(M, PAPER_SCENARIOS, np.array([8.0, bad]))
+        with pytest.raises(ValueError, match=named):
+            best_strategy(M, sc, bad)
+
 
 class TestPaperShape:
     """The qualitative Figure-4.3 structure the reproduction must keep."""

@@ -81,9 +81,74 @@ class TestCli:
         for series in data["scenarios"].values():
             assert "Standard (staged)" in series
 
-    def test_scenario_unknown_machine_fails(self):
-        with pytest.raises(ValueError, match="nonesuch"):
-            main(["scenario", "--machine", "nonesuch"])
+    def test_scenario_unknown_machine_fails(self, capsys):
+        assert main(["scenario", "--machine", "nonesuch"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown machine 'nonesuch'" in err and "lassen" in err
+
+    @pytest.mark.parametrize("argv, said", [
+        (["predict", "4", "32", "-5"], "msg_size must be >= 0"),
+        (["predict", "4", "32", "nan"], "got nan"),
+        (["predict", "4", "32", "inf"], "got inf"),
+        (["predict", "4", "32", "1e400"], "got inf"),
+        (["predict", "0", "32", "1000"], "num_dest_nodes must be >= 1"),
+        (["predict", "4", "2", "1000"], "at least one message per"),
+        (["predict", "4", "32", "1000", "--machine", "nope"],
+         "unknown machine 'nope'"),
+        (["report", "--machine", "nope"], "unknown machine 'nope'"),
+        (["chaos", "--smoke", "--machine", "nope"], "unknown machine 'nope'"),
+        (["atlas", "build", "--machine", "nope"], "unknown machine 'nope'"),
+        (["atlas", "query", "/no/such.atlas", "4", "32", "1000"],
+         "No such file"),
+        (["atlas", "info", "/no/such.atlas"], "No such file"),
+        (["obs", "report", "/no/such.jsonl"], "No such file"),
+    ])
+    def test_bad_input_is_a_one_line_usage_error(self, capsys, argv, said):
+        """Input validation ends in exit status 2 and one line on stderr
+        naming the command — never a traceback."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"python -m repro {argv[0]}: error: ")
+        assert said in line
+
+    def test_library_callers_keep_the_exceptions(self):
+        from repro.atlas.cli import main as atlas_main
+        from repro.machine import resolve_machine
+
+        with pytest.raises(ValueError, match="nope"):
+            resolve_machine("nope")
+        with pytest.raises(FileNotFoundError):
+            atlas_main(["info", "/no/such.atlas"])
+
+    def test_cheap_commands_never_import_scipy(self, tmp_path):
+        """``import repro`` and the commands that build no matrix leave
+        ``scipy.sparse`` (a quarter second) unimported."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        atlas = tmp_path / "a.atlas"
+        script = (
+            "import sys, repro\n"
+            "assert 'scipy.sparse' not in sys.modules, 'import repro'\n"
+            "from repro.__main__ import main\n"
+            "for argv in (['info'], ['predict', '4', '32', '1000'],\n"
+            f"             ['atlas', 'build', '--smoke', '-o', {str(atlas)!r}],\n"
+            f"             ['atlas', 'query', {str(atlas)!r}, '4', '32', '1000']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    assert 'scipy.sparse' not in sys.modules, argv\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in (env.get("PYTHONPATH"),) if p])
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_help(self, capsys):
         assert main([]) == 0
