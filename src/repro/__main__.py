@@ -53,10 +53,11 @@ docs/observability.md) consumed by ``python -m repro obs``.
 
 ``report``, ``scenario``, ``perf`` and ``chaos`` also take
 ``--max-retries N`` / ``--task-timeout SECONDS`` / ``--resume``: any of
-them opts the sweep into *supervised* execution — watchdog deadlines,
-pool respawn after worker loss, seeded retry with quarantine, and
-incremental checkpointing so a killed run can ``--resume`` and
-re-execute only missing shards (see docs/resilience.md).
+them gives the sweep a failure policy — watchdog deadlines, pool
+respawn after worker loss, seeded retry with quarantine — and a shard
+journal so a killed run can ``--resume`` and re-execute only missing
+shards; without them the first failure ends the sweep as itself (see
+docs/resilience.md).
 
 Input that fails validation — an unknown ``--machine``, a negative or
 non-finite size, a path that is not there — ends in one line on stderr

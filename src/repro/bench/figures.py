@@ -104,8 +104,8 @@ def fig4_3_data(machine: MachineSpec,
     :func:`~repro.models.scenarios.sweep_scenarios`: bit-identical at
     any ``jobs`` value, and a warm ``cache`` skips every panel whose
     inputs are unchanged (zero model evaluations).
-    ``policy``/``journal_dir``/``resume`` opt into supervised execution
-    (see :func:`repro.par.sweep_map`).
+    ``policy``/``journal_dir``/``resume`` set the sweep's failure policy
+    and checkpoint journal (see :func:`repro.par.sweep_map`).
     """
     from dataclasses import replace
 
@@ -167,8 +167,8 @@ def fig4_2_data(machine: MachineSpec,
     Returns ``{gpus: {"measured": {label: t}, "model": {label: t},
     "meta": {...}}}``.  One shard per GPU count (the matrix is built
     once and shipped to workers); bit-identical at any ``jobs`` value.
-    ``policy``/``journal_dir``/``resume`` opt into supervised execution
-    (see :func:`repro.par.sweep_map`).
+    ``policy``/``journal_dir``/``resume`` set the sweep's failure policy
+    and checkpoint journal (see :func:`repro.par.sweep_map`).
     """
     ppn = ppn or machine.max_ppn
     gpn = machine.gpus_per_node
@@ -213,8 +213,8 @@ def fig5_1_data(machine: MachineSpec,
     :func:`repro.sparse.suite.suite_sweep`: one shard per matrix,
     fanned out over ``jobs`` workers with bit-identical ordered
     results, and content-hash cached when ``cache`` is given.
-    ``policy``/``journal_dir``/``resume`` opt into supervised execution
-    (see :func:`repro.par.sweep_map`).
+    ``policy``/``journal_dir``/``resume`` set the sweep's failure policy
+    and checkpoint journal (see :func:`repro.par.sweep_map`).
     """
     return suite_sweep(machine, matrices=matrices, gpu_counts=gpu_counts,
                        matrix_n=matrix_n, ppn=ppn,

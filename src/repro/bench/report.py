@@ -51,8 +51,8 @@ def generate(matrix_n: int = 16_000, gpu_counts=(8, 16, 32),
     paper; the others model its Section-6 what-if architectures).
     Output is bit-identical at any ``jobs``/cache setting.
 
-    ``policy``/``journal_dir``/``resume`` run each sweep section under
-    supervised execution (watchdog + retry + checkpoint–resume; see
+    ``policy``/``journal_dir``/``resume`` give each sweep section a
+    failure policy (watchdog + retry) and a checkpoint journal (see
     :func:`repro.par.sweep_map`).  Each section journals under its own
     sweep id, so a killed regeneration resumed with ``resume=True``
     re-executes only the shards that had not yet checkpointed.

@@ -48,6 +48,7 @@ run didn't checkpoint.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -60,7 +61,6 @@ from repro.faults.procfault import ProcFaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.par.cache import ResultCache, cache_key, default_cache_dir
 from repro.par.executor import (
-    DEFAULT_SWEEP_RETRY,
     SweepPolicy,
     SweepStats,
     resolve_jobs,
@@ -382,11 +382,11 @@ def run_chaos(seed: int = 0, smoke: bool = False,
     fleet telemetry in place for the run ledger.  The report is
     byte-identical across worker counts and cache states.
 
-    ``policy`` / ``journal_dir`` / ``resume`` / ``proc_faults`` opt the
-    sweep into supervised execution (see
-    :func:`repro.par.sweep_map`).  The default supervised policy is
-    non-strict: a poison cell is *quarantined* — reported with
-    ``"outcome": "quarantined"`` and counted in
+    ``policy`` / ``journal_dir`` / ``resume`` / ``proc_faults`` go to
+    :func:`repro.par.sweep_map` as they are: without a policy the first
+    failing cell ends the sweep as itself; under a non-strict one (what
+    ``repro chaos`` passes) a poison cell is *quarantined* — reported
+    with ``"outcome": "quarantined"`` and counted in
     ``summary["quarantined"]`` — rather than aborting the sweep, and
     every surviving cell stays byte-identical to a fault-free serial
     run.  The injected plan itself is deliberately **not** embedded in
@@ -412,23 +412,13 @@ def run_chaos(seed: int = 0, smoke: bool = False,
             return _shard_key(task, spec, plans[task[2]],
                               pattern_fps[task[2]])
 
-    supervised = (policy is not None or journal_dir is not None
-                  or resume or proc_faults is not None)
-    if supervised:
-        if stats is None:
-            stats = SweepStats()
-        if policy is None:
-            policy = SweepPolicy(strict=False)
-        shards = sweep_map(run_chaos_shard, tasks, jobs=jobs,
-                           cache=cache, key_fn=key_fn, stats=stats,
-                           policy=policy, journal_dir=journal_dir,
-                           resume=resume, proc_faults=proc_faults)
-    else:
-        shards = sweep_map(run_chaos_shard, tasks, jobs=jobs,
-                           cache=cache, key_fn=key_fn, stats=stats)
-    quarantined_by_index = {
-        q["index"]: q
-        for q in (stats.quarantined if stats is not None else ())}
+    if stats is None:
+        stats = SweepStats()
+    shards = sweep_map(run_chaos_shard, tasks, jobs=jobs,
+                       cache=cache, key_fn=key_fn, stats=stats,
+                       policy=policy, journal_dir=journal_dir,
+                       resume=resume, proc_faults=proc_faults)
+    quarantined_by_index = {q["index"]: q for q in stats.quarantined}
 
     violations: List[str] = []
     merged = MetricsRegistry()
@@ -441,7 +431,7 @@ def run_chaos(seed: int = 0, smoke: bool = False,
             shard = shards[task_index]
             runs += 1
             if shard is None:
-                # the supervised executor gave up on this cell: report
+                # the executor gave up on this cell: report
                 # it explicitly (stable fields only — no run counts or
                 # wall facts — so the report stays deterministic)
                 q = quarantined_by_index.get(task_index, {})
@@ -519,6 +509,9 @@ def write_chaos_ledger(ledger, report: Dict[str, Any],
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.par.cliopts import (add_supervision_args,
+                                   supervision_from_args)
+
     parser = argparse.ArgumentParser(
         prog="python -m repro chaos",
         description="Randomized fault-injection sweep with engine "
@@ -548,25 +541,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "crash/hang/raise (transient) and poison "
                              "(persistent raise); bare flag means "
                              "'crash=1,hang=1,poison=1'.  Requires "
-                             "--jobs >= 2.  Sampled from --seed.")
-    parser.add_argument("--max-retries", type=int, default=None,
-                        metavar="N",
-                        help="supervised execution: retries before a "
-                             "failing shard is quarantined (default "
-                             f"{DEFAULT_SWEEP_RETRY.max_retries}); "
-                             "giving this flag opts into supervision")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="supervised execution: per-shard wall-clock "
-                             "budget enforced by the watchdog (default: "
-                             "no deadline; 5.0 when --proc-faults "
-                             "injects hangs); giving this flag opts "
-                             "into supervision")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume a killed sweep: restore completed "
-                             "shards from the result cache + sweep "
-                             "journal and re-execute only the rest "
-                             "(implies --cache)")
+                             "--jobs >= 2.  Sampled from --seed.  "
+                             "Injected hangs get --task-timeout 5.0 "
+                             "unless one is given.")
+    add_supervision_args(parser)
     parser.add_argument("-o", "--output", default=None,
                         help="write the JSON report here (default stdout)")
     parser.add_argument("--ledger", default=None, metavar="PATH",
@@ -581,44 +559,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cache or args.cache_dir or args.resume:
         cache = ResultCache(directory=args.cache_dir or default_cache_dir())
 
-    supervised = (args.proc_faults is not None or args.resume
-                  or args.max_retries is not None
-                  or args.task_timeout is not None)
-    policy = None
-    journal_dir = None
+    policy, journal_dir, resume = supervision_from_args(
+        args, cache, seed=args.seed, strict=False)
     plan = None
-    if supervised:
+    if args.proc_faults is not None:
+        if policy is None:
+            # injected faults are recovered under the default policy
+            policy = SweepPolicy(seed=args.seed, strict=False)
+            journal_dir = cache.directory if cache is not None else None
         from repro.core.selector import all_strategies
         from repro.faults.procfault import parse_proc_fault_spec
 
-        task_timeout = args.task_timeout
-        if args.proc_faults is not None:
-            try:
-                counts = parse_proc_fault_spec(args.proc_faults)
-            except ValueError as exc:
-                parser.error(str(exc))
-            if resolve_jobs(args.jobs) < 2:
-                parser.error("--proc-faults needs --jobs >= 2: injected "
-                             "crashes/hangs must hit *worker* processes, "
-                             "not the supervising one")
-            n_tasks = ((3 if args.smoke else 6)
-                       * len(all_strategies()))
-            if counts["hangs"] and task_timeout is None:
-                task_timeout = 5.0  # a hang needs a deadline to trip
-            try:
-                plan = ProcFaultPlan.sample(args.seed, n_tasks, **counts)
-            except ValueError as exc:
-                parser.error(str(exc))
-        retry = DEFAULT_SWEEP_RETRY
-        if args.max_retries is not None:
-            retry = RetryPolicy(timeout=retry.timeout,
-                                backoff=retry.backoff,
-                                backoff_cap=retry.backoff_cap,
-                                max_retries=args.max_retries)
-        policy = SweepPolicy(task_timeout=task_timeout, retry=retry,
-                             seed=args.seed, strict=False)
-        if cache is not None:
-            journal_dir = cache.directory
+        try:
+            counts = parse_proc_fault_spec(args.proc_faults)
+        except ValueError as exc:
+            parser.error(str(exc))
+        if resolve_jobs(args.jobs) < 2:
+            parser.error("--proc-faults needs --jobs >= 2: injected "
+                         "crashes/hangs must hit *worker* processes, "
+                         "not the supervising one")
+        n_tasks = (3 if args.smoke else 6) * len(all_strategies())
+        if counts["hangs"] and policy.task_timeout is None:
+            # a hang needs a deadline to trip
+            policy = dataclasses.replace(policy, task_timeout=5.0)
+        try:
+            plan = ProcFaultPlan.sample(args.seed, n_tasks, **counts)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     stats = SweepStats()
     profiler = None
@@ -630,7 +597,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_chaos(seed=args.seed, smoke=args.smoke, jobs=args.jobs,
                            cache=cache, machine=args.machine, stats=stats,
                            policy=policy, journal_dir=journal_dir,
-                           resume=args.resume, proc_faults=plan)
+                           resume=resume, proc_faults=plan)
     finally:
         if profiler is not None:
             profiler.stop()
@@ -668,7 +635,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{summary['quarantined']} quarantined, "
           f"{summary['violations']} invariant violations",
           file=sys.stderr)
-    if supervised:
+    if policy is not None:
         print(f"chaos: supervised sweep — {stats.retried} retries, "
               f"{stats.respawns} pool respawns, {stats.resumed} shards "
               f"resumed, {len(stats.quarantined)} quarantined"

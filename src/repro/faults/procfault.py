@@ -13,7 +13,7 @@ pure-data schedule mapping ``(task index, run number)`` to an action:
     the worker sleeps ``hang_seconds`` (long past any sane deadline, so
     the supervisor's watchdog must fire),
 ``raise``
-    the task records an injected ``ProcFaultError`` (exercising the
+    the task raises an injected :class:`ProcFaultError` (exercising the
     retry → bisect → quarantine path without killing anything).
 
 Schedules are deterministic: a fault either always fires
@@ -45,6 +45,10 @@ PROC_FAULT_EXIT = 87
 #: actions a plan can inject (also the quarantine ``reason`` values the
 #: supervisor records for them, with ``raise`` surfacing as ``error``)
 PROC_FAULT_KINDS = ("crash", "hang", "raise")
+
+
+class ProcFaultError(RuntimeError):
+    """What an injected ``raise`` fault raises inside the worker."""
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ count); :class:`~repro.par.cache.ResultCache` skips shards whose inputs
 hash to an already-computed result.  See ``docs/api.md`` ("Parallel
 sweeps & result cache").
 
-Supervised execution (watchdog, retry/quarantine, checkpoint–resume)
-is opt-in via :class:`~repro.par.executor.SweepPolicy` and the
-``journal_dir``/``resume`` arguments; see ``docs/resilience.md``
-("Fault-tolerant sweeps").
+There is one executor: without a
+:class:`~repro.par.executor.SweepPolicy` the first failure ends the
+sweep as itself; with one, lost and hung workers are respawned and
+failing shards retried, then quarantined.  Shards go to the cache as
+they finish, ``journal_dir``/``resume`` add checkpoint–resume; see
+``docs/resilience.md`` ("Fault-tolerant sweeps").
 """
 
 from repro.par.cache import (

@@ -1,4 +1,4 @@
-"""Shared CLI plumbing for supervised sweep execution.
+"""Shared CLI plumbing for a sweep's failure policy.
 
 Every sweep-shaped entry point (``scenario``, ``report``, ``perf``,
 ``chaos``) exposes the same three supervision flags; this module keeps
@@ -11,18 +11,19 @@ top (see :mod:`repro.faults.chaos`).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 from typing import Any, Optional, Tuple
 
-from repro.faults.plan import RetryPolicy
 from repro.par.executor import DEFAULT_SWEEP_RETRY, SweepPolicy
 
 
 def add_supervision_args(parser: argparse.ArgumentParser) -> None:
     """Add ``--max-retries`` / ``--task-timeout`` / ``--resume``.
 
-    Giving any of them opts the sweep into supervised execution
-    (watchdog, retry/quarantine, checkpoint–resume); omitting all three
-    keeps the legacy zero-overhead fan-out.
+    Giving any of them gives the sweep a :class:`SweepPolicy`
+    (watchdog, retry/quarantine) and, with a disk cache, a journal to
+    resume from; omitting all three leaves the executor's zero policy —
+    the first failure ends the sweep as itself.
     """
     parser.add_argument("--max-retries", type=int, default=None,
                         metavar="N",
@@ -49,21 +50,18 @@ def supervision_from_args(ns: argparse.Namespace, cache: Optional[Any],
                                      Optional[str], bool]:
     """``(policy, journal_dir, resume)`` for :func:`repro.par.sweep_map`.
 
-    Returns ``(None, None, False)`` when none of the supervision flags
-    were given, so callers pass straight through to the legacy path.
+    Returns ``(None, None, False)`` — the zero policy, no journal — when
+    none of the supervision flags were given.
     ``strict=True`` (the default for result-bearing sweeps like figure
     grids) re-raises quarantined shards at the end; the chaos harness
     uses ``strict=False`` to report them instead.
     """
-    supervised = (ns.resume or ns.max_retries is not None
-                  or ns.task_timeout is not None)
-    if not supervised:
+    if not (ns.resume or ns.max_retries is not None
+            or ns.task_timeout is not None):
         return None, None, False
     retry = DEFAULT_SWEEP_RETRY
     if ns.max_retries is not None:
-        retry = RetryPolicy(timeout=retry.timeout, backoff=retry.backoff,
-                            backoff_cap=retry.backoff_cap,
-                            max_retries=ns.max_retries)
+        retry = dataclasses.replace(retry, max_retries=ns.max_retries)
     policy = SweepPolicy(task_timeout=ns.task_timeout, retry=retry,
                          seed=seed, strict=strict)
     journal_dir = cache.directory if cache is not None else None

@@ -3,17 +3,20 @@
 Every expensive entry point in the repro (chaos sweeps, figure grids,
 the SpMV suite, scenario model sweeps, the perf suite) is a loop over
 **independent, pure** shard evaluations.  :func:`sweep_map` is the one
-fan-out primitive they all share:
+fan-out primitive they all share, and it has **one executor**: a
+supervised gather loop (:class:`_Supervisor`) whose arguments set the
+failure policy.
 
-* **Serial fallback** — at ``jobs=1`` it is a plain in-process loop: no
-  pool, no pickling, no extra allocation, so existing golden outputs
-  stay bit-exact and single-core runs pay nothing.
+* **Serial is the same loop** — at ``jobs=1`` (or with at most one
+  shard to run) it runs all pending shards in process as one chunk: no
+  pool, no pickling, so golden outputs stay bit-exact and single-core
+  runs pay nothing.  A fully cached sweep builds no pool at any ``jobs``.
 * **Deterministic sharding** — tasks are split into *contiguous* chunks
   by :func:`shard_tasks` (a pure function of ``(n, jobs, chunk_size)``),
   so the work distribution never depends on scheduler timing.
-* **Ordered gather** — results are re-assembled by task index, so the
-  output list is **bit-identical** to the serial order regardless of
-  worker count or completion order.
+* **Ordered gather** — results land at their task index, so the output
+  list is **bit-identical** to the serial order regardless of worker
+  count or completion order.
 * **Spawn-safe** — the shard function must be a module-level callable
   and every task spec picklable; the pool start method defaults to the
   cheapest available (``fork`` on POSIX) but honours
@@ -22,9 +25,18 @@ fan-out primitive they all share:
 * **Content-addressed caching** — pass a
   :class:`~repro.par.cache.ResultCache` plus a ``key_fn``; cache hits
   skip evaluation entirely and only misses are fanned out.
-* **Supervised execution** (opt-in, via :class:`SweepPolicy` /
-  ``journal_dir`` / ``resume`` / ``proc_faults``) — the fan-out becomes
-  fault tolerant instead of all-or-nothing:
+* **Incremental checkpoints** — a shard is ``put`` into the cache as it
+  is gathered (in process: as each task finishes), not after the full
+  sweep (keys are content hashes of pure shard functions, so an early
+  write is a correct one); under
+  ``journal_dir`` a :class:`~repro.par.journal.SweepJournal` line
+  follows, so a killed process can ``resume=True`` and re-execute only
+  the missing shards, bit-identical to a fault-free serial run.
+* **Failure policy** — without a :class:`SweepPolicy` the policy is
+  *zero*: the first failure ends the sweep as itself (``fn``'s
+  exception re-raised with its own type at any ``jobs``; a lost worker
+  is ``BrokenProcessPool``).  With one, the fan-out is fault tolerant
+  instead of all-or-nothing:
 
   - a **watchdog** enforces per-chunk wall-clock deadlines
     (``task_timeout`` seconds per task); a chunk past its deadline is
@@ -42,13 +54,7 @@ fan-out primitive they all share:
     finally **quarantined**: recorded (index, cache key, reason,
     error) in :attr:`SweepStats.quarantined` and, in strict mode,
     re-raised at the end as :class:`SweepQuarantineError` — the sweep
-    always completes with an explicit completeness manifest;
-  - completed shards **checkpoint incrementally**: cache ``put`` on
-    gather (not after the full sweep) plus a
-    :class:`~repro.par.journal.SweepJournal` line per shard, so a
-    killed process can ``resume=True`` and re-execute only the missing
-    shards — the final result list is bit-identical to a fault-free
-    serial run.
+    always completes with an explicit completeness manifest.
 
   Deterministic *process-level* fault injection for all of the above
   lives in :mod:`repro.faults.procfault` (crash / hang / raise on
@@ -61,18 +67,23 @@ argument, else ``$REPRO_JOBS``, else 1.
 from __future__ import annotations
 
 import collections
+import math
 import multiprocessing
 import os
 import statistics
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import BrokenExecutor
+import traceback
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
+                                ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.faults.plan import RetryPolicy
+from repro.faults.procfault import ProcFaultError
+from repro.par.cache import stable_fingerprint
+from repro.par.journal import SweepJournal, journal_path
 
 #: default straggler threshold: a chunk this many times slower than the
 #: median chunk of its sweep is flagged (see :meth:`SweepStats.stragglers`)
@@ -150,7 +161,8 @@ def shard_tasks(n: int, jobs: int,
 
 @dataclass(frozen=True)
 class SweepPolicy:
-    """Supervision contract for one :func:`sweep_map` call.
+    """Failure policy of one :func:`sweep_map` call (``None`` there is
+    the zero policy: the first failure ends the sweep as itself).
 
     ``task_timeout`` is the per-task wall-clock budget: a chunk of
     ``k`` tasks is declared hung ``task_timeout * k`` (plus a start-
@@ -175,10 +187,11 @@ class SweepPolicy:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        if self.task_timeout is not None and not self.task_timeout > 0:
+        if self.task_timeout is not None and not (
+                self.task_timeout > 0 and math.isfinite(self.task_timeout)):
             raise ValueError(
-                f"SweepPolicy.task_timeout must be > 0 or None, got "
-                f"{self.task_timeout!r}")
+                f"SweepPolicy.task_timeout must be a finite number > 0 "
+                f"or None, got {self.task_timeout!r}")
         if not isinstance(self.retry, RetryPolicy):
             raise ValueError(
                 f"SweepPolicy.retry must be a RetryPolicy, got "
@@ -201,7 +214,7 @@ class SweepPolicy:
 
 
 class SweepQuarantineError(RuntimeError):
-    """A strict supervised sweep finished with quarantined tasks.
+    """A strict-policy sweep finished with quarantined tasks.
 
     ``quarantined`` holds the completeness manifest entries
     (``{"index", "key", "reason", "error"}``) so callers can still see
@@ -233,13 +246,13 @@ class SweepStats:
     seconds and pids are not (the run ledger records them inside its
     non-deterministic envelope).
 
-    Supervised sweeps additionally fill the **recovery telemetry**:
-    ``retried`` / ``respawns`` / ``resumed`` counters, the
-    ``quarantined`` completeness manifest, and ``recovery_events`` —
-    one record per supervision action (``worker_lost``,
-    ``chunk_retry``, ``task_quarantined``, ``sweep_resume``) that the
-    run ledger forwards (quarantines deterministically, the rest as
-    volatile execution-shape facts).
+    Sweeps that had something to recover from additionally fill the
+    **recovery telemetry**: ``retried`` / ``respawns`` / ``resumed``
+    counters, the ``quarantined`` completeness manifest (in task-index
+    order), and ``recovery_events`` — one record per supervision action
+    (``worker_lost``, ``chunk_retry``, ``task_quarantined``,
+    ``sweep_resume``) that the run ledger forwards (quarantines
+    deterministically, the rest as volatile execution-shape facts).
     """
 
     tasks: int = 0          # total shards requested
@@ -247,7 +260,7 @@ class SweepStats:
     cache_hits: int = 0     # shards served from the cache
     jobs: int = 0           # resolved worker count
     chunks: int = 0         # work units submitted to the pool (0 = serial)
-    retried: int = 0        # chunk/task resubmissions (supervised only)
+    retried: int = 0        # chunk/task resubmissions (needs a policy)
     respawns: int = 0       # pool respawns after lost/hung workers
     resumed: int = 0        # shards restored from a prior journaled run
     obs_payloads: List[Any] = field(default_factory=list)
@@ -312,64 +325,57 @@ class SweepStats:
         }
 
 
-def _run_chunk(fn: Callable[[Any], Any], chunk: List[Tuple[int, Any]]
-               ) -> Tuple[List[Tuple[int, Any]], Dict[str, Any]]:
-    """Worker body: evaluate one contiguous chunk of (index, task).
-
-    Returns the results plus the chunk's telemetry (task span, measured
-    wall seconds, worker pid) for :attr:`SweepStats.worker_events`.
-    """
-    t0 = time.perf_counter()
-    results = [(index, fn(task)) for index, task in chunk]
-    telemetry = {
-        "lo": chunk[0][0],
-        "hi": chunk[-1][0],
-        "tasks": len(chunk),
-        "wall_s": time.perf_counter() - t0,
-        "pid": os.getpid(),
-    }
-    return results, telemetry
-
-
 def _run_chunk_guarded(fn: Callable[[Any], Any],
                        chunk: List[Tuple[int, Any]],
                        faults: Any,
-                       runs: Dict[int, int]
+                       runs: Dict[int, int],
+                       fail_fast: bool,
+                       on_done: Optional[Callable[[int, Any], None]] = None
                        ) -> Tuple[List[Tuple[int, bool, Any, Optional[str]]],
                                   Dict[str, Any]]:
-    """Supervised worker body: per-task outcomes instead of fail-fast.
+    """Worker body: per-task outcomes plus the chunk's telemetry.
 
     Each task yields ``(index, ok, value, error)`` — a task that raises
     is *recorded*, not propagated, so one poison task cannot discard its
-    chunk-mates' results.  ``faults`` (a
+    chunk-mates' results and an ``OSError`` from ``fn`` can never be
+    mistaken for a collapsed result transport.  Under the zero policy
+    (``fail_fast``) the chunk stops at its first failure and the record
+    carries the exception itself (as ``value``, its traceback text as
+    ``error``) for the gather loop to re-raise.  ``faults`` (a
     :class:`~repro.faults.procfault.ProcFaultPlan` or ``None``) injects
     process-level failures first: ``crash`` exits the worker without
     cleanup, ``hang`` sleeps past any reasonable deadline, ``raise``
     records an injected error.  ``runs`` carries each task's 1-based
     evaluation count so transient schedules can clear on retry.
+    ``on_done(index, value)`` runs after each task that succeeds: how
+    an inline sweep checkpoints shard by shard inside its one chunk.  The
+    telemetry (task span, measured wall seconds, worker pid) feeds
+    :attr:`SweepStats.worker_events`.
     """
     t0 = time.perf_counter()
     outcomes: List[Tuple[int, bool, Any, Optional[str]]] = []
     for index, task in chunk:
-        if faults is not None:
-            action = faults.action(index, runs[index])
-            if action == "crash":
-                os._exit(faults.exit_code)
-            elif action == "hang":
-                time.sleep(faults.hang_seconds)
-            elif action == "raise":
-                outcomes.append((index, False, None,
-                                 f"ProcFaultError: injected raise "
-                                 f"(task {index})"))
-                continue
         try:
+            if faults is not None:
+                action = faults.action(index, runs[index])
+                if action == "crash":
+                    os._exit(faults.exit_code)
+                elif action == "hang":
+                    time.sleep(faults.hang_seconds)
+                elif action == "raise":
+                    raise ProcFaultError(f"injected raise (task {index})")
             value = fn(task)
         except BaseException as exc:  # noqa: BLE001 — quarantine wants all
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            if fail_fast:
+                outcomes.append((index, False, exc, traceback.format_exc()))
+                break
             outcomes.append((index, False, None,
                              f"{type(exc).__name__}: {exc}"))
         else:
+            if on_done is not None:
+                on_done(index, value)
             outcomes.append((index, True, value, None))
     telemetry = {
         "lo": chunk[0][0],
@@ -381,6 +387,15 @@ def _run_chunk_guarded(fn: Callable[[Any], Any],
     return outcomes, telemetry
 
 
+def _submit_inline(call: Callable[..., Any], *args: Any) -> Future:
+    """In-process stand-in for ``pool.submit``: run the call, return its
+    finished future — what makes ``jobs=1`` the same gather loop rather
+    than a second one."""
+    future: Future = Future()
+    future.set_result(call(*args))
+    return future
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Terminate a pool's workers and reap them (hung workers never
     exit on their own, so a plain shutdown would block forever)."""
@@ -390,10 +405,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             proc.terminate()
         except (OSError, ValueError):  # pragma: no cover — racing exit
             pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover — cancel_futures needs 3.9
-        pool.shutdown(wait=False)
+    pool.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         try:
             proc.join(timeout=5.0)
@@ -402,7 +414,13 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class _Supervisor:
-    """State machine for one supervised fan-out (see :func:`sweep_map`).
+    """State machine for one fan-out (see :func:`sweep_map`).
+
+    ``policy=None`` is the zero policy: the first failure — ``fn``'s
+    exception or a lost worker — is re-raised where it is seen, so none
+    of the attribution below runs.  ``jobs == 1`` or at most one pending
+    task runs *inline*: all of ``pending`` as one chunk through
+    :func:`_submit_inline`, retries as single-task chunks the same way.
 
     Failure attribution protocol: when the pool breaks (a worker died)
     every in-flight chunk is *suspect* — guilt is unknowable pool-wide —
@@ -418,7 +436,7 @@ class _Supervisor:
     def __init__(self, fn: Callable[[Any], Any],
                  pending: List[Tuple[int, Any]], jobs: int,
                  chunk_size: Optional[int], start_method: str,
-                 policy: SweepPolicy, stats: SweepStats,
+                 policy: Optional[SweepPolicy], stats: SweepStats,
                  proc_faults: Any,
                  checkpoint: Callable[[int, Any], None]) -> None:
         self.fn = fn
@@ -428,7 +446,10 @@ class _Supervisor:
         self.stats = stats
         self.faults = proc_faults
         self.checkpoint = checkpoint
-        self.rng = policy.rng()
+        self.rng = policy.rng() if policy is not None else None
+        self.inline = jobs == 1 or len(pending) <= 1
+        if self.inline:
+            chunk_size = len(pending)  # all of it as one chunk
         spans = shard_tasks(len(pending), jobs, chunk_size)
         self.queue: collections.deque = collections.deque(
             pending[lo:hi] for lo, hi in spans)
@@ -437,7 +458,6 @@ class _Supervisor:
         self.deadlines: Dict[Any, float] = {}
         self.runs: Dict[int, int] = {index: 0 for index, _ in pending}
         self.attempts: Dict[int, int] = {index: 0 for index, _ in pending}
-        self.results: Dict[int, Any] = {}
         self.gathered = 0
         self.pool: Optional[ProcessPoolExecutor] = None
         self.grace = POOL_SPINUP_GRACE.get(start_method,
@@ -451,45 +471,60 @@ class _Supervisor:
                                             mp_context=ctx)
         return self.pool
 
-    def _respawn(self) -> None:
+    def _pool_lost(self, lost: List[List[Tuple[int, Any]]],
+                   reason: str) -> List[List[Tuple[int, Any]]]:
+        """Kill the pool the ``lost`` chunks died or hung in (the next
+        submit builds a new one); returns the bystanders killed with it."""
+        bystanders = list(self.inflight.values())
+        self.inflight.clear()
+        self.deadlines.clear()
         if self.pool is not None:
             _kill_pool(self.pool)
             self.pool = None
         self.stats.respawns += 1
-        self.deadlines.clear()
+        for chunk in lost:
+            self.stats.recovery("worker_lost", reason=reason,
+                                lo=chunk[0][0], hi=chunk[-1][0],
+                                tasks=len(chunk))
+        return bystanders
 
-    def _submit(self, chunk: List[Tuple[int, Any]]) -> None:
-        pool = self._ensure_pool()
-        for index, _task in chunk:
-            self.runs[index] += 1
-        future = pool.submit(_run_chunk_guarded, self.fn, chunk,
-                             self.faults,
-                             {index: self.runs[index]
-                              for index, _ in chunk})
+    def _submit(self, chunk: List[Tuple[int, Any]]) -> bool:
+        """Submit one chunk; ``False`` if the pool broke under it."""
+        submit = (_submit_inline if self.inline
+                  else self._ensure_pool().submit)
+        # inline checkpoints per task: a kill mid-chunk keeps what finished
+        on_done = self.checkpoint if self.inline else None
+        runs = {index: self.runs[index] + 1 for index, _ in chunk}
+        try:
+            future = submit(_run_chunk_guarded, self.fn, chunk, self.faults,
+                            runs, self.policy is None, on_done)
+        except BrokenExecutor:
+            # A worker died since the last gather, so this chunk never
+            # ran: back to the head of the queue, run counters untouched.
+            # The in-flight futures carry the loss; _step attributes it.
+            if self.policy is None or not self.inflight:
+                raise
+            self.queue.appendleft(chunk)
+            return False
+        self.runs.update(runs)
         self.inflight[future] = chunk
-        self.stats.chunks += 1
-        if self.policy.task_timeout is not None:
+        if not self.inline:
+            self.stats.chunks += 1
+        if self.policy is not None and self.policy.task_timeout is not None:
             self.deadlines[future] = (
                 time.monotonic()
                 + self.policy.task_timeout * len(chunk) + self.grace)
+        return True
 
     # -- failure handling ---------------------------------------------------
-    def _quarantine(self, index: int, reason: str, error: str) -> None:
-        record = {"index": index, "key": None, "reason": reason,
-                  "error": error}
-        self.stats.quarantined.append(record)
-        self.stats.recovery("task_quarantined", index=index,
-                            reason=reason, error=error)
-
     def _penalize(self, chunk: List[Tuple[int, Any]], reason: str,
                   error: Optional[str] = None) -> None:
         """A chunk failed *attributably*: bisect or retry/quarantine."""
-        span = (chunk[0][0], chunk[-1][0])
         if len(chunk) > 1:
             mid = len(chunk) // 2
             self.stats.recovery("chunk_retry", reason=reason,
-                                action="bisect", lo=span[0], hi=span[1],
-                                tasks=len(chunk))
+                                action="bisect", lo=chunk[0][0],
+                                hi=chunk[-1][0], tasks=len(chunk))
             self.stats.retried += 1
             self.queue.appendleft(chunk[mid:])
             self.queue.appendleft(chunk[:mid])
@@ -499,7 +534,10 @@ class _Supervisor:
         attempt = self.attempts[index]
         message = error or f"worker {reason} while running task {index}"
         if attempt > self.policy.retry.max_retries:
-            self._quarantine(index, reason, message)
+            # sweep_map orders the manifest and emits its events
+            self.stats.quarantined.append({"index": index, "key": None,
+                                           "reason": reason,
+                                           "error": message})
             return
         self.stats.retried += 1
         self.stats.recovery("chunk_retry", reason=reason, action="retry",
@@ -517,8 +555,14 @@ class _Supervisor:
         task_by_index = dict(chunk)
         for index, ok, value, error in outcomes:
             if ok:
-                self.results[index] = value
-                self.checkpoint(index, value)
+                if not self.inline:  # inline: done as the task finished
+                    self.checkpoint(index, value)
+            elif self.policy is None:
+                # zero policy: the first failure ends the sweep as itself
+                # (pickling dropped a worker's traceback: chain its text)
+                if self.inline:
+                    raise value
+                raise value from RuntimeError(f"in the worker:\n{error}")
             else:
                 self._penalize([(index, task_by_index[index])],
                                "error", error)
@@ -529,7 +573,7 @@ class _Supervisor:
         })
 
     # -- main loop ----------------------------------------------------------
-    def run(self) -> Dict[int, Any]:
+    def run(self) -> None:
         try:
             while self.queue or self.suspects or self.inflight:
                 self._top_up()
@@ -539,7 +583,6 @@ class _Supervisor:
             if self.pool is not None:
                 _kill_pool(self.pool)
                 self.pool = None
-        return self.results
 
     def _top_up(self) -> None:
         """Keep exactly the runnable set submitted.
@@ -555,7 +598,8 @@ class _Supervisor:
                 self._submit(self.suspects.popleft())
             return
         while self.queue and len(self.inflight) < self.jobs:
-            self._submit(self.queue.popleft())
+            if not self._submit(self.queue.popleft()):
+                break
 
     def _step(self) -> None:
         timeout = None
@@ -566,62 +610,40 @@ class _Supervisor:
                        return_when=FIRST_COMPLETED)
         broken: List[List[Tuple[int, Any]]] = []
         for future in done:
-            chunk = self.inflight.get(future)
-            if chunk is None:
-                continue
+            chunk = self.inflight.pop(future)
+            self.deadlines.pop(future, None)
             try:
                 outcomes, telemetry = future.result()
             except (BrokenExecutor, OSError):
                 # the worker died (or the result transport collapsed
                 # with it) — guilt is attributed below, not here
-                self.inflight.pop(future, None)
-                self.deadlines.pop(future, None)
+                if self.policy is None:
+                    raise
                 broken.append(chunk)
                 continue
-            self.inflight.pop(future, None)
-            self.deadlines.pop(future, None)
             self._absorb(chunk, outcomes, telemetry)
         if broken:
             # The pool is dead: every still-in-flight chunk was killed
             # with it.  A lone broken chunk with no bystanders is
             # guilty by elimination; otherwise nobody can be blamed
             # pool-wide, so all of them re-run in isolation.
-            bystanders = list(self.inflight.values())
-            self.inflight.clear()
-            self._respawn()
+            bystanders = self._pool_lost(broken, "crash")
             if len(broken) == 1 and not bystanders:
-                chunk = broken[0]
-                self.stats.recovery("worker_lost", reason="crash",
-                                    lo=chunk[0][0], hi=chunk[-1][0],
-                                    tasks=len(chunk))
-                self._penalize(chunk, "crash")
+                self._penalize(broken[0], "crash")
             else:
-                for chunk in broken:
-                    self.stats.recovery("worker_lost", reason="crash",
-                                        lo=chunk[0][0], hi=chunk[-1][0],
-                                        tasks=len(chunk))
-                    self.suspects.append(chunk)
-                for chunk in bystanders:
-                    self.suspects.append(chunk)
+                self.suspects.extend(broken + bystanders)
             return
         if self.deadlines:
             now = time.monotonic()
-            expired = [future for future in list(self.inflight)
-                       if future in self.deadlines
-                       and now >= self.deadlines[future]
-                       and not future.done()]
+            expired = [future for future, due in self.deadlines.items()
+                       if now >= due and not future.done()]
             if expired:
                 # chunks past their own deadline are hung (each deadline
                 # already budgets for the chunk's size); the rest were
                 # innocent pool-mates and re-run without penalty
                 guilty = [self.inflight.pop(future) for future in expired]
-                bystanders = list(self.inflight.values())
-                self.inflight.clear()
-                self._respawn()
+                bystanders = self._pool_lost(guilty, "hang")
                 for chunk in guilty:
-                    self.stats.recovery("worker_lost", reason="hang",
-                                        lo=chunk[0][0], hi=chunk[-1][0],
-                                        tasks=len(chunk))
                     self._penalize(chunk, "hang")
                 for chunk in bystanders:
                     self.queue.appendleft(chunk)
@@ -643,115 +665,27 @@ def sweep_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     The result list is always in task order and bit-identical across
     worker counts (``fn`` must be a pure function of its task).  With
     ``jobs > 1``, ``fn`` must be module-level and each task picklable.
+    Every call runs the same gather loop; the arguments set what it
+    does about a failure and what it writes down:
 
-    **Unsupervised** (the default — none of ``policy`` / ``journal_dir``
-    / ``resume`` / ``proc_faults`` given): exceptions raised by ``fn``
-    propagate to the caller (the pool is shut down first), the cache is
-    written after the full ordered gather, and a crashed or hung worker
-    aborts the sweep — the zero-overhead fast path is byte-for-byte the
-    pre-supervision behaviour.
-
-    **Supervised** (any of those arguments given): lost and hung
-    workers are detected, the pool respawned, failing chunks bisected
-    and poison tasks quarantined under ``policy`` (see
-    :class:`SweepPolicy`); completed shards checkpoint incrementally to
-    ``cache`` and to a :class:`~repro.par.journal.SweepJournal` under
-    ``journal_dir``; ``resume=True`` (requires ``cache`` and
-    ``journal_dir``) restores previously completed shards and
-    re-executes only the missing ones.  ``proc_faults`` injects
-    deterministic process-level failures (tests / ``repro chaos
-    --proc-faults``).
+    * ``policy=None`` is the **zero policy**: the first failure ends the
+      sweep as itself — ``fn``'s exception re-raised with its own type
+      at any ``jobs`` (an ``OSError`` from ``fn`` is never read as a
+      lost worker), a crashed worker is ``BrokenProcessPool``, a hung
+      one hangs.  Under a :class:`SweepPolicy` lost and hung workers are
+      respawned, failing chunks bisected, poison tasks retried and then
+      quarantined.
+    * Each completed shard is ``put`` into ``cache`` as it is gathered
+      (at ``jobs=1``: as each task finishes), so a sweep that dies
+      keeps what it finished; with ``journal_dir``
+      a :class:`~repro.par.journal.SweepJournal` line follows each put,
+      and ``resume=True`` (requires ``cache`` and ``journal_dir``)
+      re-executes only the shards a previous run did not complete.
+    * ``proc_faults`` injects deterministic process-level failures
+      (tests / ``repro chaos --proc-faults``).
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
-    supervised = (policy is not None or journal_dir is not None
-                  or resume or proc_faults is not None)
-    if supervised:
-        return _sweep_supervised(
-            fn, tasks, jobs, cache=cache, key_fn=key_fn,
-            chunk_size=chunk_size,
-            start_method=start_method or default_start_method(),
-            stats=stats, policy=policy or SweepPolicy(),
-            journal_dir=journal_dir, resume=resume,
-            proc_faults=proc_faults)
-
-    results: List[Any] = [None] * len(tasks)
-    keys: List[Optional[str]] = [None] * len(tasks)
-    pending: List[Tuple[int, Any]] = []
-    if cache is not None:
-        if key_fn is None:
-            raise ValueError("cache requires a key_fn")
-        for index, task in enumerate(tasks):
-            key = key_fn(task)
-            keys[index] = key
-            hit, value = cache.lookup(key)
-            if hit:
-                results[index] = value
-            else:
-                pending.append((index, task))
-    else:
-        pending = list(enumerate(tasks))
-
-    if stats is not None:
-        stats.tasks = len(tasks)
-        stats.executed = len(pending)
-        stats.cache_hits = len(tasks) - len(pending)
-        stats.jobs = jobs
-        stats.chunks = 0
-
-    if jobs == 1 or len(pending) <= 1:
-        t0 = time.perf_counter()
-        for index, task in pending:
-            results[index] = fn(task)
-        if stats is not None and pending:
-            # One in-process heartbeat so serial sweeps report the same
-            # fleet-telemetry shape as fanned-out ones.
-            stats.worker_events.append({
-                "chunk": 0, "lo": pending[0][0], "hi": pending[-1][0],
-                "tasks": len(pending), "done": 1, "total": 1,
-                "wall_s": time.perf_counter() - t0, "pid": os.getpid(),
-            })
-    else:
-        spans = shard_tasks(len(pending), jobs, chunk_size)
-        chunks = [pending[lo:hi] for lo, hi in spans]
-        if stats is not None:
-            stats.chunks = len(chunks)
-        ctx = multiprocessing.get_context(
-            start_method or default_start_method())
-        workers = min(jobs, len(chunks))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=ctx) as pool:
-            futures = [pool.submit(_run_chunk, fn, chunk)
-                       for chunk in chunks]
-            # Gather in submission order: completion order is
-            # irrelevant because every result lands at its task index.
-            for done, future in enumerate(futures, start=1):
-                chunk_results, telemetry = future.result()
-                for index, value in chunk_results:
-                    results[index] = value
-                if stats is not None:
-                    stats.worker_events.append({
-                        "chunk": done - 1, "done": done,
-                        "total": len(futures), **telemetry,
-                    })
-
-    if cache is not None:
-        for index, _task in pending:
-            cache.put(keys[index], results[index])
-    return results
-
-
-def _sweep_supervised(fn: Callable[[Any], Any], tasks: List[Any],
-                      jobs: int, *, cache: Optional[Any],
-                      key_fn: Optional[Callable[[Any], str]],
-                      chunk_size: Optional[int], start_method: str,
-                      stats: Optional[SweepStats], policy: SweepPolicy,
-                      journal_dir: Optional[str], resume: bool,
-                      proc_faults: Optional[Any]) -> List[Any]:
-    """Supervised body of :func:`sweep_map` (see its docstring)."""
-    from repro.par.cache import stable_fingerprint
-    from repro.par.journal import SweepJournal, journal_path
-
     if resume and (cache is None or journal_dir is None):
         raise ValueError(
             "resume requires both a cache (to restore completed shard "
@@ -764,17 +698,13 @@ def _sweep_supervised(fn: Callable[[Any], Any], tasks: List[Any],
     results: List[Any] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
     pending: List[Tuple[int, Any]] = []
-    if cache is not None:
-        for index, task in enumerate(tasks):
-            key = key_fn(task)
-            keys[index] = key
-            hit, value = cache.lookup(key)
+    for index, task in enumerate(tasks):
+        if cache is not None:
+            keys[index] = key_fn(task)
+            hit, results[index] = cache.lookup(keys[index])  # miss: None
             if hit:
-                results[index] = value
-            else:
-                pending.append((index, task))
-    else:
-        pending = list(enumerate(tasks))
+                continue
+        pending.append((index, task))
 
     stats.tasks = len(tasks)
     stats.executed = len(pending)
@@ -790,107 +720,42 @@ def _sweep_supervised(fn: Callable[[Any], Any], tasks: List[Any],
                                sweep_id, tasks=len(tasks), resume=resume)
         if journal.resumed:
             # shards the journal marks done *and* the cache restored
-            done_indices = set(journal.done)
-            restored = sum(
-                1 for index in range(len(tasks))
-                if index in done_indices and results[index] is not None)
-            stats.resumed = restored
-            stats.recovery("sweep_resume", done=restored,
+            stats.resumed = sum(results[index] is not None
+                                for index in journal.done
+                                if 0 <= index < len(tasks))
+            stats.recovery("sweep_resume", done=stats.resumed,
                            tasks=len(tasks))
 
     def checkpoint(index: int, value: Any) -> None:
         # incremental: a kill after this line never loses the shard
+        results[index] = value
         if cache is not None:
             cache.put(keys[index], value)
         if journal is not None:
             journal.shard_done(index, key=keys[index])
 
     try:
-        if jobs == 1 or len(pending) <= 1:
-            _supervised_serial(fn, pending, policy, stats, proc_faults,
-                               checkpoint, results)
-        else:
-            supervisor = _Supervisor(fn, pending, jobs, chunk_size,
-                                     start_method, policy, stats,
-                                     proc_faults, checkpoint)
-            gathered = supervisor.run()
-            for index, value in gathered.items():
-                results[index] = value
+        _Supervisor(fn, pending, jobs, chunk_size,
+                    start_method or default_start_method(), policy, stats,
+                    proc_faults, checkpoint).run()
+        # index order: which poison task exhausts its retries first
+        # depends on the chunk geometry, the manifest must not
+        stats.quarantined.sort(key=lambda record: record["index"])
         for record in stats.quarantined:
             record["key"] = keys[record["index"]]
+            event = stats.recovery(
+                "task_quarantined", index=record["index"],
+                reason=record["reason"], error=record["error"])
             if journal is not None:
-                journal.event("task_quarantined", index=record["index"],
-                              key=record["key"], reason=record["reason"],
-                              error=record["error"])
+                journal.event(key=record["key"], **event)
         if journal is not None:
             journal.finish(
                 completed=len(tasks) - len(stats.quarantined),
-                quarantined=sorted(q["index"]
-                                   for q in stats.quarantined))
+                quarantined=[q["index"] for q in stats.quarantined])
     finally:
         if journal is not None:
             journal.close()
 
-    if policy.strict and stats.quarantined:
+    if stats.quarantined and policy.strict:
         raise SweepQuarantineError(stats.quarantined)
     return results
-
-
-def _supervised_serial(fn: Callable[[Any], Any],
-                       pending: List[Tuple[int, Any]],
-                       policy: SweepPolicy, stats: SweepStats,
-                       proc_faults: Optional[Any],
-                       checkpoint: Callable[[int, Any], None],
-                       results: List[Any]) -> None:
-    """In-process supervised loop (``jobs=1``).
-
-    Raised exceptions (and injected ``raise`` faults) are retried and
-    quarantined exactly like the pooled path.  Injected ``crash`` /
-    ``hang`` faults act on *this* process — a crash genuinely kills the
-    run (which is what checkpoint + resume recover from) and a hang
-    sleeps; there is no out-of-process watchdog to fire.
-    """
-    rng = policy.rng()
-    t0 = time.perf_counter()
-    for index, task in pending:
-        attempt = 0
-        while True:
-            error = None
-            if proc_faults is not None:
-                action = proc_faults.action(index, attempt + 1)
-                if action == "crash":
-                    os._exit(proc_faults.exit_code)
-                elif action == "hang":
-                    time.sleep(proc_faults.hang_seconds)
-                elif action == "raise":
-                    error = f"ProcFaultError: injected raise (task {index})"
-            if error is None:
-                try:
-                    results[index] = fn(task)
-                except BaseException as exc:  # noqa: BLE001
-                    if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                        raise
-                    error = f"{type(exc).__name__}: {exc}"
-                else:
-                    checkpoint(index, results[index])
-                    break
-            attempt += 1
-            if attempt > policy.retry.max_retries:
-                stats.quarantined.append({
-                    "index": index, "key": None, "reason": "error",
-                    "error": error})
-                stats.recovery("task_quarantined", index=index,
-                               reason="error", error=error)
-                break
-            stats.retried += 1
-            stats.recovery("chunk_retry", reason="error", action="retry",
-                           lo=index, hi=index, tasks=1, attempt=attempt)
-            delay = policy.backoff_delay(attempt - 1, rng)
-            if delay > 0.0:
-                time.sleep(delay)
-    if pending:
-        stats.worker_events.append({
-            "chunk": 0, "lo": pending[0][0], "hi": pending[-1][0],
-            "tasks": len(pending), "done": 1, "total": 1,
-            "wall_s": time.perf_counter() - t0, "pid": os.getpid(),
-        })

@@ -223,8 +223,8 @@ def suite_sweep(machine, matrices=None, gpu_counts=(8, 16, 32, 64),
     worker), fanned out by :func:`repro.par.sweep_map` and gathered in
     suite order, so results are bit-identical at any ``jobs`` value.
     ``cache`` keys panels by matrix content + machine + sweep shape.
-    ``policy``/``journal_dir``/``resume`` opt into supervised execution
-    (see :func:`repro.par.sweep_map`).
+    ``policy``/``journal_dir``/``resume`` set the sweep's failure policy
+    and checkpoint journal (see :func:`repro.par.sweep_map`).
     """
     from repro.par.cache import cache_key
     from repro.par.executor import sweep_map

@@ -6,6 +6,7 @@ from repro.par import (
     ENV_JOBS,
     ENV_START_METHOD,
     ResultCache,
+    SweepPolicy,
     SweepStats,
     default_start_method,
     resolve_jobs,
@@ -29,6 +30,20 @@ def _boom(x):
     if x == 3:
         raise ValueError("task 3 exploded")
     return x
+
+
+def _missing(x):
+    if x == 3:
+        raise FileNotFoundError("task 3 has no input file")
+    return x
+
+
+#: one executor: every argument combination runs the same loop, so the
+#: basic contract is checked on each — no policy (the zero policy) and
+#: a policy, in process and on a pool
+each_policy = pytest.mark.parametrize(
+    "policy", [None, SweepPolicy()], ids=["zero-policy", "policy"])
+each_jobs = pytest.mark.parametrize("jobs", [1, 2])
 
 
 class TestResolveJobs:
@@ -94,9 +109,14 @@ class TestShardTasks:
 
 
 class TestSweepMap:
-    def test_serial_matches_list_comprehension(self):
+    @each_policy
+    @each_jobs
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
+    def test_matches_list_comprehension(self, policy, jobs, chunk_size):
         tasks = list(range(20))
-        assert sweep_map(_square, tasks, jobs=1) == [t * t for t in tasks]
+        out = sweep_map(_square, tasks, jobs=jobs, chunk_size=chunk_size,
+                        policy=policy)
+        assert out == [t * t for t in tasks]
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_matches_serial_order(self, jobs):
@@ -109,8 +129,10 @@ class TestSweepMap:
         assert sweep_map(_sum_pair, tasks, jobs=2) == \
             [a + b for a, b in tasks]
 
-    def test_empty_tasks(self):
-        assert sweep_map(_square, [], jobs=4) == []
+    @each_policy
+    @each_jobs
+    def test_empty_tasks(self, policy, jobs):
+        assert sweep_map(_square, [], jobs=jobs, policy=policy) == []
 
     def test_env_jobs_applies(self, monkeypatch):
         monkeypatch.setenv(ENV_JOBS, "2")
@@ -134,6 +156,16 @@ class TestSweepMap:
         with pytest.raises(ValueError, match="task 3 exploded"):
             sweep_map(_boom, list(range(8)), jobs=1)
 
+    @each_jobs
+    def test_oserror_from_fn_is_not_a_lost_worker(self, jobs):
+        # FileNotFoundError is an OSError, which is also what a
+        # collapsed result transport raises: it must come back as
+        # itself, not be answered with a pool respawn
+        stats = SweepStats()
+        with pytest.raises(FileNotFoundError, match="no input file"):
+            sweep_map(_missing, list(range(8)), jobs=jobs, stats=stats)
+        assert stats.respawns == 0 and stats.recovery_events == []
+
     def test_stats_serial(self):
         stats = SweepStats()
         sweep_map(_square, list(range(5)), jobs=1, stats=stats)
@@ -148,9 +180,12 @@ class TestSweepMapCache:
     def _key(task):
         return stable_fingerprint(("square", task))
 
-    def test_cache_requires_key_fn(self):
+    @each_policy
+    @each_jobs
+    def test_cache_requires_key_fn(self, policy, jobs):
         with pytest.raises(ValueError, match="key_fn"):
-            sweep_map(_square, [1], cache=ResultCache())
+            sweep_map(_square, [1], jobs=jobs, policy=policy,
+                      cache=ResultCache())
 
     def test_warm_rerun_executes_nothing(self):
         cache = ResultCache()
@@ -163,6 +198,25 @@ class TestSweepMapCache:
         assert warm == cold
         assert stats.executed == 0
         assert stats.cache_hits == len(tasks)
+
+    def test_warm_sweep_builds_no_pool(self, monkeypatch, tmp_path):
+        from repro.par import executor
+
+        cache = ResultCache(directory=str(tmp_path))
+        kwargs = dict(jobs=2, cache=cache, key_fn=self._key,
+                      policy=SweepPolicy(), journal_dir=str(tmp_path))
+        tasks = list(range(12))
+        cold = sweep_map(_square, tasks, **kwargs)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fully cached sweep built a pool")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(executor, "_submit_inline", no_pool)
+        stats = SweepStats()
+        assert sweep_map(_square, tasks, stats=stats, **kwargs) == cold
+        assert stats.executed == 0 and stats.chunks == 0
+        assert stats.worker_events == []
 
     def test_partial_hits_only_run_misses(self):
         cache = ResultCache()

@@ -1,6 +1,9 @@
 """Supervised sweep execution: watchdog, retry, quarantine, resume."""
 
 import argparse
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,6 +30,12 @@ def _key(task):
     return cache_key("supervised-test", task=task)
 
 
+def _interrupt_at_three(x):
+    if x == 3:
+        raise KeyboardInterrupt
+    return 2 * x
+
+
 def _lenient(max_retries=2, task_timeout=None, seed=0):
     return SweepPolicy(task_timeout=task_timeout,
                        retry=RetryPolicy(timeout=30.0, backoff=0.0,
@@ -42,7 +51,8 @@ class TestPolicy:
         assert policy.strict
         assert policy.task_timeout is None
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"),
+                                     float("nan")])
     def test_invalid_timeout_rejected(self, bad):
         with pytest.raises(ValueError):
             SweepPolicy(task_timeout=bad)
@@ -67,19 +77,6 @@ class TestPolicy:
         assert 0.5 * 0.1 <= a <= 1.5 * 0.1
 
 
-class TestParity:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
-    def test_supervised_matches_serial(self, jobs, chunk_size):
-        tasks = list(range(10))
-        out = sweep_map(_double, tasks, jobs=jobs, chunk_size=chunk_size,
-                        policy=SweepPolicy())
-        assert out == [_double(t) for t in tasks]
-
-    def test_empty_sweep(self):
-        assert sweep_map(_double, [], policy=SweepPolicy()) == []
-
-
 class TestValidation:
     def test_resume_requires_cache_and_journal(self, tmp_path):
         with pytest.raises(ValueError, match="resume requires"):
@@ -88,30 +85,28 @@ class TestValidation:
             sweep_map(_double, [1], resume=True,
                       journal_dir=str(tmp_path))
 
-    def test_cache_requires_key_fn(self, tmp_path):
-        with pytest.raises(ValueError, match="key_fn"):
-            sweep_map(_double, [1], policy=SweepPolicy(),
-                      cache=ResultCache(directory=str(tmp_path)))
-
 
 class TestInjectedRaise:
-    def test_transient_raise_clears_on_retry(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("max_runs", [1, 2])
+    def test_transient_raise_clears_on_retry(self, jobs, max_runs):
         plan = ProcFaultPlan(faults=(
-            ProcFault(kind="raise", index=3, max_runs=1),))
+            ProcFault(kind="raise", index=3, max_runs=max_runs),))
         stats = SweepStats()
-        out = sweep_map(_double, list(range(6)), jobs=2, chunk_size=2,
+        out = sweep_map(_double, list(range(6)), jobs=jobs, chunk_size=2,
                         policy=_lenient(), stats=stats, proc_faults=plan)
         assert out == [_double(t) for t in range(6)]
         assert stats.quarantined == []
-        assert stats.retried >= 1
+        assert stats.retried == max_runs
         kinds = {ev["kind"] for ev in stats.recovery_events}
         assert "chunk_retry" in kinds
 
-    def test_poison_is_quarantined_not_fatal(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_poison_is_quarantined_not_fatal(self, jobs):
         plan = ProcFaultPlan(faults=(
             ProcFault(kind="raise", index=2, max_runs=None),))
         stats = SweepStats()
-        out = sweep_map(_double, list(range(5)), jobs=2, chunk_size=2,
+        out = sweep_map(_double, list(range(5)), jobs=jobs, chunk_size=2,
                         policy=_lenient(max_retries=1), stats=stats,
                         proc_faults=plan)
         assert out[2] is None
@@ -134,6 +129,28 @@ class TestInjectedRaise:
                       policy=policy, proc_faults=plan)
         assert [q["index"] for q in excinfo.value.quarantined] == [1]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_manifest_is_in_index_order_at_any_jobs(self, jobs, tmp_path):
+        # the second chunk's poison task exhausts its retries first
+        # (the first chunk is slower), the manifest must not show it
+        plan = ProcFaultPlan(faults=(
+            ProcFault(kind="raise", index=1, max_runs=None),
+            ProcFault(kind="raise", index=3, max_runs=None)))
+        policy = SweepPolicy(retry=_lenient(max_retries=1).retry)
+        stats = SweepStats()
+        with pytest.raises(SweepQuarantineError,
+                           match=r"task 1 .*; task 3 ") as excinfo:
+            sweep_map(_slow_start, list(range(4)), jobs=jobs,
+                      chunk_size=2, policy=policy, stats=stats,
+                      proc_faults=plan, journal_dir=str(tmp_path))
+        assert [q["index"] for q in stats.quarantined] == [1, 3]
+        assert [q["index"] for q in excinfo.value.quarantined] == [1, 3]
+        assert [ev["index"] for ev in stats.recovery_events
+                if ev["kind"] == "task_quarantined"] == [1, 3]
+        records = read_journal(str(next(tmp_path.glob("sweep-*.jsonl"))))
+        assert [r["index"] for r in records
+                if r["kind"] == "task_quarantined"] == [1, 3]
+
     def test_real_exceptions_quarantine_with_type_and_message(self):
         stats = SweepStats()
         out = sweep_map(_bomb, list(range(4)), jobs=1,
@@ -146,6 +163,12 @@ class TestInjectedRaise:
 def _bomb(x):
     if x == 1:
         raise ValueError("task 1 exploded")
+    return 2 * x
+
+
+def _slow_start(x):
+    if x < 2:
+        time.sleep(0.1)
     return 2 * x
 
 
@@ -193,6 +216,64 @@ class TestCrashAndHang:
             [list(plan.poison_indices())] * 3
 
 
+class _PoolThatBreaksOnce:
+    """Pool stub: the first instance loses its worker between two
+    submits — the first chunk's future breaks, the second ``submit``
+    raises, exactly what ``ProcessPoolExecutor`` does when a child dies
+    while the supervisor is topping up.  Later instances (the respawned
+    pool) run every call in place."""
+
+    instances = 0
+
+    def __init__(self, max_workers=None, mp_context=None):
+        type(self).instances += 1
+        self.healthy = type(self).instances > 1
+        self.submits = 0
+
+    def submit(self, call, *args):
+        self.submits += 1
+        future = Future()
+        if self.healthy:
+            future.set_result(call(*args))
+        elif self.submits == 1:
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            raise BrokenProcessPool("worker died")
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestSubmitOnABrokenPool:
+    @pytest.fixture(autouse=True)
+    def _stub_pool(self, monkeypatch):
+        from repro.par import executor
+
+        monkeypatch.setattr(_PoolThatBreaksOnce, "instances", 0)
+        monkeypatch.setattr(executor, "ProcessPoolExecutor",
+                            _PoolThatBreaksOnce)
+
+    def test_unsubmitted_chunk_goes_back_unpenalized(self):
+        # task 1's transient fault fires on its run 1: it must still be
+        # armed when the chunk finally runs, i.e. the refused submit did
+        # not advance the run counter
+        plan = ProcFaultPlan(faults=(
+            ProcFault(kind="raise", index=1, max_runs=1),))
+        stats = SweepStats()
+        out = sweep_map(_double, list(range(4)), jobs=2, chunk_size=1,
+                        policy=_lenient(), stats=stats, proc_faults=plan)
+        assert out == [_double(t) for t in range(4)]
+        assert stats.respawns == 1 and stats.quarantined == []
+        retries = [(ev["reason"], ev["lo"]) for ev in stats.recovery_events
+                   if ev["kind"] == "chunk_retry"]
+        assert sorted(retries) == [("crash", 0), ("error", 1)]
+
+    def test_zero_policy_reports_the_lost_worker(self):
+        with pytest.raises(BrokenProcessPool):
+            sweep_map(_double, list(range(4)), jobs=2, chunk_size=1)
+
+
 class TestCheckpointResume:
     def test_completed_shards_checkpoint_incrementally(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path))
@@ -213,6 +294,28 @@ class TestCheckpointResume:
         for task in range(6):
             hit, value = cache.lookup(_key(task))
             assert hit and value == _double(task)
+
+    @pytest.mark.parametrize("policy", [None, SweepPolicy()])
+    def test_serial_sweep_killed_midway_keeps_finished_shards(
+            self, policy, tmp_path):
+        # jobs=1 is one in-process chunk: a shard must be durable when
+        # its task finishes, not when the chunk is gathered
+        kwargs = dict(jobs=1, key_fn=_key, policy=policy,
+                      journal_dir=str(tmp_path))
+        with pytest.raises(KeyboardInterrupt):
+            sweep_map(_interrupt_at_three, list(range(6)),
+                      cache=ResultCache(directory=str(tmp_path)), **kwargs)
+        journal, = tmp_path.glob("sweep-*.jsonl")
+        assert [r["index"] for r in read_journal(str(journal))
+                if r["kind"] == "shard_done"] == [0, 1, 2]
+        with open(journal, "a") as fh:  # indices no sweep of 6 wrote
+            fh.write('{"index":7,"kind":"shard_done"}\n'
+                     '{"index":-1,"kind":"shard_done"}\n')
+        stats = SweepStats()
+        out = sweep_map(_double, list(range(6)), resume=True, stats=stats,
+                        cache=ResultCache(directory=str(tmp_path)), **kwargs)
+        assert out == [_double(t) for t in range(6)]
+        assert stats.resumed == 3 and stats.executed == 3
 
     def test_resume_restores_and_skips_completed_shards(self, tmp_path):
         tasks = list(range(6))
@@ -249,28 +352,6 @@ class TestCheckpointResume:
                        "quarantined": [1]}
 
 
-class TestSerialSupervised:
-    def test_serial_retry_then_success(self):
-        plan = ProcFaultPlan(faults=(
-            ProcFault(kind="raise", index=0, max_runs=2),))
-        stats = SweepStats()
-        out = sweep_map(_double, [5, 6], jobs=1,
-                        policy=_lenient(max_retries=3), stats=stats,
-                        proc_faults=plan)
-        assert out == [10, 12]
-        assert stats.retried == 2
-
-    def test_serial_quarantine(self):
-        plan = ProcFaultPlan(faults=(
-            ProcFault(kind="raise", index=0, max_runs=None),))
-        stats = SweepStats()
-        out = sweep_map(_double, [5, 6], jobs=1,
-                        policy=_lenient(max_retries=1), stats=stats,
-                        proc_faults=plan)
-        assert out == [None, 12]
-        assert [q["index"] for q in stats.quarantined] == [0]
-
-
 class TestStatsRecovery:
     def test_to_dict_has_a_recovery_section(self):
         stats = SweepStats()
@@ -304,7 +385,7 @@ class TestCliOpts:
             setattr(ns, name, value)
         return ns
 
-    def test_no_flags_means_unsupervised(self):
+    def test_no_flags_means_zero_policy(self):
         from repro.par.cliopts import supervision_from_args
 
         assert supervision_from_args(self._ns(), None) == \
