@@ -97,7 +97,7 @@ class Atlas:
 
     ``times`` has shape ``(len(labels),) + spec.shape`` — the modelled
     time of every strategy at every grid cell, bit-identical to the
-    fused kernel's output for that cell.  ``winners_idx`` is its argmin
+    costing kernel's output for that cell.  ``winners_idx`` is its argmin
     over the strategy axis (ties to the earliest label, matching
     :func:`~repro.models.scenarios.best_strategy`).
     """

@@ -2,7 +2,7 @@
 
 One build shard is one ``(message count, duplicate fraction)`` slice of
 the grid — a full :func:`~repro.models.regime_map.compute_regime_map`
-over (node count x size), evaluated in a single fused kernel call.
+over (node count x size), every model walked once over the whole slice.
 Shards fan out through :func:`repro.par.sweep_map`, so a build inherits
 ``--jobs`` parallelism, the content-hashed result cache, supervised
 checkpoint/resume and fleet telemetry for free; the ordered gather plus

@@ -8,12 +8,13 @@ over strategies, and a confidence margin derived from the gap to the
 runner-up.  The kernel is never touched unless the query demands it:
 
 * **on-grid queries** (every axis hits a lattice value exactly) are
-  served straight from the stored tensor — those values *are* the fused
-  kernel's outputs, so the winner matches exact evaluation bit-for-bit
+  served straight from the stored tensor — those values *are* the
+  costing kernel's outputs, so the winner matches exact evaluation bit-for-bit
   and no fallback can trigger;
 * **interpolated queries** whose margin falls below the index's
   ``margin_band`` sit close to a crossover frontier, where interpolation
-  may pick the wrong side — they fall back to exact fused evaluation;
+  may pick the wrong side — they fall back to exact evaluation (one cell,
+  so the scalar stage walk);
 * **out-of-hull queries** (outside the grid's bounding box on any axis)
   have no bracketing cell and always evaluate exactly.
 
@@ -63,7 +64,7 @@ class AtlasLookup:
 
     @property
     def exact(self) -> bool:
-        """True when the answer came from exact fused evaluation."""
+        """True when the answer came from exact evaluation."""
         return self.source != "atlas"
 
 

@@ -192,18 +192,9 @@ class CommParams:
         return link.time(nbytes)
 
     def link_table(self, kind: TransportKind, locality: Locality,
-                   pre_posted: bool = False, alpha_scale: float = 1.0,
-                   beta_scale: float = 1.0) -> np.ndarray:
-        """Table 2 for one path as a :func:`select_links` row.
-
-        The scales (a locality tier's) multiply the row's constants.
-        """
-        row = self._link_rows[kind, locality, pre_posted]
-        if alpha_scale != 1.0 or beta_scale != 1.0:
-            row = row.copy()
-            row[2:5] *= alpha_scale
-            row[5:] *= beta_scale
-        return row
+                   pre_posted: bool = False) -> np.ndarray:
+        """Table 2 for one path as a read-only :func:`select_links` row."""
+        return self._link_rows[kind, locality, pre_posted]
 
     def link_arrays(self, kind: TransportKind, locality: Locality,
                     sizes: np.ndarray,

@@ -29,6 +29,9 @@ counts (needed by the Standard models):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,57 @@ class PatternSummary:
         """
         if not 0.0 <= dup_fraction < 1.0:
             raise ValueError(f"dup_fraction must be in [0, 1), got {dup_fraction!r}")
+        keep = 1.0 - dup_fraction
+        return replace(
+            self,
+            bytes_per_node_pair=self.bytes_per_node_pair * keep,
+            node_bytes=self.node_bytes * keep,
+            proc_bytes=self.proc_bytes * keep,
+        )
+
+
+@dataclass(frozen=True)
+class SummaryBatch:
+    """Struct-of-arrays over :class:`PatternSummary` fields.
+
+    All arrays share one shape (the sweep axis).  Counts stay integer
+    arrays; byte quantities are float64, matching the scalar dataclass.
+    The two share field names, so a strategy's ``_stages`` compiles from
+    either one.
+    """
+
+    num_dest_nodes: np.ndarray
+    messages_per_node_pair: np.ndarray
+    bytes_per_node_pair: np.ndarray
+    node_bytes: np.ndarray
+    proc_bytes: np.ndarray
+    proc_messages: np.ndarray
+    proc_dest_nodes: np.ndarray
+    active_gpus: np.ndarray
+
+    @classmethod
+    def from_summaries(cls, summaries: Sequence[PatternSummary]) -> "SummaryBatch":
+        return cls(
+            num_dest_nodes=np.array([s.num_dest_nodes for s in summaries]),
+            messages_per_node_pair=np.array(
+                [s.messages_per_node_pair for s in summaries]),
+            bytes_per_node_pair=np.array(
+                [s.bytes_per_node_pair for s in summaries], dtype=float),
+            node_bytes=np.array([s.node_bytes for s in summaries], dtype=float),
+            proc_bytes=np.array([s.proc_bytes for s in summaries], dtype=float),
+            proc_messages=np.array([s.proc_messages for s in summaries]),
+            proc_dest_nodes=np.array([s.proc_dest_nodes for s in summaries]),
+            active_gpus=np.array([s.active_gpus for s in summaries]),
+        )
+
+    @property
+    def is_empty(self) -> np.ndarray:
+        return (self.num_dest_nodes == 0) | (self.node_bytes == 0)
+
+    def with_duplicate_removal(self, dup_fraction: float) -> "SummaryBatch":
+        if not 0.0 <= dup_fraction < 1.0:
+            raise ValueError(
+                f"dup_fraction must be in [0, 1), got {dup_fraction!r}")
         keep = 1.0 - dup_fraction
         return replace(
             self,

@@ -116,8 +116,8 @@ def compute_regime_map(machine: MachineSpec,
     """Evaluate the Table-6 models over a (nodes x size) grid.
 
     The model registry (and its labels) is built once for the whole
-    grid, and every (strategy, node-count row, size) cell evaluates in
-    a single fused kernel call — bit-identical to the historical
+    grid, and every model walks its stages once over all (node-count
+    row, size) cells — bit-identical to the historical
     per-row ``best_strategy_sweep`` loop, which rebuilt the models for
     every row and the time matrix for every cell.  The winner grid is
     carried both as labels (``winners``) and as the ``winners_idx``

@@ -16,16 +16,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.machine.topology import MachineSpec
-from repro.models.pattern_summary import PatternSummary
+from repro.models.pattern_summary import PatternSummary, SummaryBatch
 from repro.models.strategies import (
     StrategyModel,
     all_strategy_models,
     model_label,
 )
-from repro.models.vectorized import SummaryBatch
 from repro.par.cache import ResultCache, cache_key
 from repro.par.executor import resolve_jobs, sweep_map
-from repro.paths.kernel import evaluate_plans_fused
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def scenario_summary(machine: MachineSpec, scenario: Scenario,
 
 def scenario_summary_batch(machine: MachineSpec, scenario: Scenario,
                            sizes: Sequence[float]) -> SummaryBatch:
-    """Vectorized :func:`scenario_summary` over a size sweep.
+    """Batched :func:`scenario_summary` over a size sweep.
 
     Field-wise identical to building one summary per size: counts are
     size-independent, byte quantities scale linearly with the same
@@ -142,7 +140,7 @@ def _joint_scenario_batch(machine: MachineSpec,
     Field ``c * len(sizes) + z`` holds scenario ``c`` at size ``z`` —
     field-wise the concatenation of :func:`scenario_summary_batch` over
     the scenarios (same factor times the same size per element, counts
-    repeated), so every fused cost is bit-identical to evaluating the
+    repeated), so every cost is bit-identical to evaluating the
     scenarios one at a time.  ``keep`` carries ``1.0 - dup_fraction``
     per element for the node-aware byte scaling.
     """
@@ -178,40 +176,45 @@ def fused_scenario_times(machine: MachineSpec,
                          models: Optional[List[StrategyModel]] = None,
                          include_extended: bool = False,
                          ) -> Tuple[List[str], np.ndarray]:
-    """All (strategy, scenario, size) cells in one fused kernel call.
+    """All (strategy, scenario, size) cells through the one stage walk.
 
     Returns ``(labels, times)`` with ``times`` of shape
-    ``(len(models), len(scenarios), len(sizes))``.  Each model compiles
-    *once* against the joint batch; the stacked plans then evaluate
-    through :func:`~repro.paths.kernel.evaluate_plans_fused`.  Every
-    cell is bit-identical to ``model.time_sweep(batch, dup_fraction)``
-    on the corresponding per-scenario batch:
+    ``(len(models), len(scenarios), len(sizes))``.  This is the one
+    place the operand algebra is chosen, and only from the shape of the
+    request: exactly one cell is a point and takes the scalar walk
+    (:meth:`StrategyModel.time`); anything else is a batch and each
+    model walks its stages once over the joint batch
+    (:meth:`StrategyModel.time_sweep`).  A cell costs the same bits
+    either way:
 
     * node-aware duplicate removal multiplies the joint byte fields by
       the per-element keep row (``x * 1.0`` is a bitwise no-op for the
       dup-free scenarios, the scalar keep factor elsewhere);
-    * empty cells are masked to 0.0 through the same ``np.where``.
+    * empty cells are 0.0 on both sides.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     if models is None:
         models = all_strategy_models(machine,
                                      include_extended=include_extended)
-    joint, keep = _joint_scenario_batch(machine, scenarios, sizes)
-    has_dup = bool(np.any(keep != 1.0))
-    dedup = None
-    if has_dup and any(m.node_aware for m in models):
-        dedup = replace(
-            joint,
-            bytes_per_node_pair=joint.bytes_per_node_pair * keep,
-            node_bytes=joint.node_bytes * keep,
-            proc_bytes=joint.proc_bytes * keep,
-        )
-    plans = [m.compile_plan_batch(dedup if (dedup is not None
-                                            and m.node_aware) else joint)
-             for m in models]
-    times = evaluate_plans_fused(machine, plans, n=joint.node_bytes.size)
-    times = np.where(joint.is_empty[None, :], 0.0, times)
     labels = [model_label(m) for m in models]
+    if len(scenarios) == 1 and sizes.size == 1:
+        _check_sizes(sizes)  # the batch side's check, so its error text
+        scenario, = scenarios
+        summary = scenario_summary(machine, scenario, float(sizes.flat[0]))
+        rows = [m.time(summary, scenario.dup_fraction) for m in models]
+    else:
+        joint, keep = _joint_scenario_batch(machine, scenarios, sizes)
+        dedup = joint
+        if np.any(keep != 1.0):
+            dedup = replace(
+                joint,
+                bytes_per_node_pair=joint.bytes_per_node_pair * keep,
+                node_bytes=joint.node_bytes * keep,
+                proc_bytes=joint.proc_bytes * keep,
+            )
+        rows = [m.time_sweep(dedup if m.node_aware else joint)
+                for m in models]
+    times = np.array(rows, dtype=np.float64)
     return labels, times.reshape(len(models), len(scenarios), sizes.size)
 
 
@@ -223,10 +226,9 @@ def sweep_scenario(machine: MachineSpec, scenario: Scenario,
     """Modelled time per strategy over a message-size sweep.
 
     Returns ``{strategy label: times}`` with one entry per model, each a
-    float array aligned with ``sizes``.  Evaluates all models through
-    the fused multi-plan kernel (bit-identical to the point-wise
-    :meth:`StrategyModel.time` and batched
-    :meth:`StrategyModel.time_sweep` paths).
+    float array aligned with ``sizes``, from
+    :func:`fused_scenario_times` (bit-identical to point-wise
+    :meth:`StrategyModel.time` calls).
     """
     labels, times = fused_scenario_times(machine, [scenario], sizes, models,
                                          include_extended=include_extended)
@@ -275,21 +277,21 @@ def sweep_scenarios(machine: MachineSpec, scenarios: Sequence[Scenario],
     hierarchy-aware families when ``include_extended=True``) — callers
     needing a custom model list use :func:`sweep_scenario` directly.
 
-    The serial, uncached path evaluates *all* scenarios through one
-    fused kernel call (elementwise kernels are slice-equivariant, so
-    the joint evaluation is bit-identical to per-scenario shards);
+    The serial, uncached path evaluates *all* scenarios as one joint
+    batch (the stage walk is elementwise, so the joint evaluation is
+    bit-identical to per-scenario shards);
     with workers or a cache the per-scenario sharding is kept so cache
     keys and fan-out granularity are unchanged.
 
     ``stats`` (a :class:`repro.par.SweepStats`) collects sweep
-    telemetry; the fused serial path fills in the same deterministic
+    telemetry; the joint serial path fills in the same deterministic
     shard totals :func:`repro.par.sweep_map` would, so run ledgers stay
     byte-identical across worker counts.
 
     ``policy`` / ``journal_dir`` / ``resume`` set the sweep's failure
     policy and checkpoint journal (watchdog, retry/quarantine,
     checkpoint–resume — see :func:`repro.par.sweep_map`); any of them
-    disables the fused fast path so they actually apply per shard.
+    disables the joint fast path so they actually apply per shard.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     supervised = policy is not None or journal_dir is not None or resume

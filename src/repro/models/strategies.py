@@ -14,12 +14,12 @@ Split + MD     T_off(m_pn, s_n/ppn) + 2 T_on_split(s_n, 1) + T_copy(...)
 Split + DD     T_off(m_pn, s_n/ppn) + 2 T_on_split(s_n, 4) + T_copy(...)
 =============  =========================================================
 
-Since the hop-plan refactor each class implements a single generic
-``_stages(summary, ops)`` compiler producing the strategy's
-:class:`~repro.paths.ir.HopStage` sequence; the base class evaluates
-those stages through the shared costing kernel with the scalar algebra
-(:meth:`StrategyModel.time`) or the array algebra over a
-:class:`SummaryBatch` (:meth:`StrategyModel.time_sweep`), and exposes
+Each class implements a single generic ``_stages(summary, ops)``
+compiler producing the strategy's :class:`~repro.paths.ir.HopStage`
+sequence; the base class costs those stages with the one stage walk
+(:func:`~repro.paths.kernel.evaluate_stages`) — under the scalar algebra
+for a point (:meth:`StrategyModel.time`), under the array algebra for a
+:class:`SummaryBatch` (:meth:`StrategyModel.time_sweep`) — and exposes
 the full declarative :class:`~repro.paths.ir.HopPlan` via
 :meth:`StrategyModel.compile_plan` for the DES structural cross-check.
 
@@ -38,8 +38,7 @@ import numpy as np
 
 from repro.machine.locality import Locality
 from repro.machine.topology import MachineSpec
-from repro.models.pattern_summary import PatternSummary
-from repro.models.vectorized import SummaryBatch
+from repro.models.pattern_summary import PatternSummary, SummaryBatch
 from repro.paths.compile import (
     as_setup,
     copy_stage,
@@ -119,7 +118,7 @@ class StrategyModel:
     def time_sweep(self,
                    summaries: Union[SummaryBatch, Sequence[PatternSummary]],
                    dup_fraction: float = 0.0) -> np.ndarray:
-        """Vectorized :meth:`time` over a batch of summaries.
+        """:meth:`time` over a batch of summaries, as one array walk.
 
         Accepts a :class:`SummaryBatch` (typically from
         :func:`repro.models.scenarios.scenario_summary_batch`) or a
@@ -190,9 +189,6 @@ class StrategyModel:
     def _dests_per_proc(self, s, ops: Ops = SCALAR_OPS):
         """Destination nodes handled per paired process (round-robin)."""
         return ops.ceil(s.num_dest_nodes / self.gpn)
-
-    def _dests_per_proc_vec(self, b: SummaryBatch) -> np.ndarray:
-        return self._dests_per_proc(b, ARRAY_OPS)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} on {self.machine.name}>"
@@ -427,10 +423,6 @@ class _SplitModelBase(StrategyModel):
         split to that cap.
         """
         return self._split_counts(summary, SCALAR_OPS)
-
-    def split_counts_vec(self, b: SummaryBatch):
-        """Array version of :meth:`split_counts` (same branch order)."""
-        return self._split_counts(b, ARRAY_OPS)
 
     def _stages(self, s, ops: Ops) -> List[HopStage]:
         total_msgs, msg_size = self._split_counts(s, ops)

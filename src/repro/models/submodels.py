@@ -14,7 +14,7 @@ Since the hop-plan refactor these functions are thin wrappers: each
 validates its inputs, builds the canonical hop stage from
 :mod:`repro.paths.compile`, and evaluates it through the shared scalar
 costing kernel — the identical stages and kernel also serve the
-vectorized sweeps and the strategy models, so no cost arithmetic is
+batched sweeps and the strategy models, so no cost arithmetic is
 duplicated here.
 """
 

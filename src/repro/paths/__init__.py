@@ -2,10 +2,11 @@
 
 Each strategy model compiles ``(pattern summary, machine, layout)``
 into a :class:`HopPlan` — an ordered sequence of typed hop stages —
-which one kernel then evaluates three ways: scalar analytic cost,
-batched numpy cost over a sweep, and a structural cross-check against
-the messages a DES program actually put on the wire.  See
-``docs/api.md`` ("Path IR & costing kernel").
+which one stage walk (:func:`evaluate_stages`) costs as a point under
+the scalar algebra or as a batch under the array algebra, and which
+:mod:`repro.paths.check` cross-checks structurally against the messages
+a DES program actually put on the wire.  See ``docs/api.md`` ("Path IR
+& costing kernel").
 """
 
 from repro.paths.ir import (
@@ -20,10 +21,8 @@ from repro.paths.ir import (
 from repro.paths.kernel import (
     ARRAY_OPS,
     SCALAR_OPS,
-    FusedPlans,
     Ops,
     cost_plan,
-    evaluate_plans_fused,
     evaluate_stages,
     hop_cost,
     stack_plans,
@@ -60,9 +59,7 @@ __all__ = [
     "stage_cost",
     "evaluate_stages",
     "cost_plan",
-    "FusedPlans",
     "stack_plans",
-    "evaluate_plans_fused",
     "on_node_stage",
     "hierarchical_on_node_stage",
     "split_on_node_stage",

@@ -3,9 +3,8 @@
 Each builder turns one model term into a :class:`~repro.paths.ir.HopStage`
 — the hop *counts and sizes* live here, the cost arithmetic lives in
 :mod:`repro.paths.kernel`.  The scalar sub-model wrappers in
-:mod:`repro.models.submodels`, their vectorized twins in
-:mod:`repro.models.vectorized`, and the strategy compilers in
-:mod:`repro.models.strategies` all build their stages through these
+:mod:`repro.models.submodels` and the strategy compilers in
+:mod:`repro.models.strategies` build their stages through these
 functions, so a hop decision exists in exactly one place.
 
 Builders that branch on data (eq. 4.2's socket occupancy, the Split

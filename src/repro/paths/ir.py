@@ -5,10 +5,11 @@ combination of paper Table 5: an ordered sequence of :class:`HopStage`
 records, each describing typed message hops over the machine — how many
 messages, how large, over which locality, serialized how (one after the
 other vs. rate-limited in parallel).  The plan is the single source of
-truth shared by three consumers:
+truth shared by two consumers:
 
-* the scalar analytic coster (``StrategyModel.time``),
-* the batched numpy coster (``StrategyModel.time_sweep``),
+* the costing kernel's stage walk — one point under the scalar algebra
+  (``StrategyModel.time``), a batch under the array algebra
+  (``StrategyModel.time_sweep``),
 * the DES structural cross-check (:mod:`repro.paths.check`), which
   verifies that the transport operations a ``core.*`` program actually
   emitted (per tracer phase lane) are consistent with the plan's stages.
@@ -16,7 +17,7 @@ truth shared by three consumers:
 Quantities (``count``, ``nbytes``, …) are either Python scalars (plans
 compiled from one :class:`~repro.models.pattern_summary.PatternSummary`)
 or numpy arrays (plans compiled from a
-:class:`~repro.models.vectorized.SummaryBatch` sweep); the costing
+:class:`~repro.models.pattern_summary.SummaryBatch` sweep); the costing
 kernel in :mod:`repro.paths.kernel` is generic over both.
 """
 

@@ -1,20 +1,19 @@
-"""The shared costing kernel: one evaluator, two operand algebras.
+"""The costing kernel: one evaluator, two operand algebras.
 
 Every cost in the analytic layer is produced here, by walking a
 sequence of :class:`~repro.paths.ir.HopStage` records and charging each
 hop from the machine's Table-2/3/4 constants.  The *same* code path
-serves the scalar coster and the batched numpy coster: an :class:`Ops`
-bundle supplies ``ceil``/``max``/``where``/protocol-selection operating
-either on Python scalars (:data:`SCALAR_OPS`) or on numpy arrays
-(:data:`ARRAY_OPS`).
+costs one point and a whole batch: an :class:`Ops` bundle supplies
+``ceil``/``max``/``where``/protocol-selection operating either on
+Python scalars (:data:`SCALAR_OPS`) or on numpy arrays
+(:data:`ARRAY_OPS`).  There is no other evaluator.
 
-Bit-exactness contract: for scalar inputs the kernel applies exactly
-the floating-point operations (and order) of the historical hand-written
-``_time`` bodies, and for array inputs exactly those of their
-``*_vec`` twins — stage sums start from the first hop's cost, stages
-accumulate left-associatively, and a ``repeat`` factor multiplies the
-finished stage sum (exact for the power-of-two repeats the models use).
-The goldens in ``tests/test_equivalence.py`` pin this.
+Bit-exactness contract: both algebras apply the same floating-point
+operations in the same order — stage sums start from the first hop's
+cost, stages accumulate left-associatively, and a ``repeat`` factor
+multiplies the finished stage sum (exact for the power-of-two repeats
+the models use) — so an element of a batch costs exactly what it costs
+alone.  The goldens in ``tests/test_equivalence.py`` pin this.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.machine.locality import TransportKind
-from repro.machine.params import select_links
 from repro.machine.topology import MachineSpec
 from repro.paths.ir import Hop, HopKind, HopPlan, HopStage, Serialization
 
@@ -193,235 +191,31 @@ def cost_plan(machine: MachineSpec, plan: HopPlan,
     return evaluate_stages(machine, plan.stages, ops)
 
 
-# -- fused multi-plan evaluation ---------------------------------------------
-#
-# The per-plan evaluator above walks stages/hops in Python once per
-# (plan, element-batch) pair.  For whole-sweep costing — every strategy
-# x every scenario cell x every message size — that walk itself becomes
-# the bottleneck.  stack_plans() lowers a *list* of compiled plans into
-# padded operand tensors of shape (plans, stages, hops, elements); the
-# hop formulas then evaluate over the entire tensor with one numpy
-# expression per formula, and FusedPlans.evaluate() folds hops and
-# stages with the same left-associative order (explicit small loops, not
-# pairwise np.sum) so every element's result is bit-identical to
-# evaluate_stages() with ARRAY_OPS on that element's slice.
-#
-# Padding is engineered to be a bitwise no-op: padded hop slots carry
-# alpha=beta=count=bytes=0 (their cost is exactly +0.0) and
-# enabled=False (the where-fold leaves the running sum's bits alone);
-# padded stages scale +0.0 by repeat 1.0 and add +0.0 to the plan total
-# (exact for the non-negative totals the models produce).  MEMCPY hops
-# share the SEQUENTIAL formula with count=1: ``1.0 * x`` is bit-identical
-# to ``x``.
-
-
 @dataclass(frozen=True)
-class FusedPlans:
-    """Padded operand tensors for a list of compiled plans.
+class PlanStack:
+    """Several compiled plans over one shared batch of ``n`` elements.
 
-    All array attributes have shape ``(S, St, H, N)``: ``S`` plans,
-    ``St`` = max stages per plan, ``H`` = max hops per stage, ``N``
-    elements (the width of the batch the plans were compiled from).
+    Only a holder, there is no stacked tensor behind it: ``evaluate()``
+    walks each plan with :func:`cost_plan` under :data:`ARRAY_OPS`, so a
+    row *is* that plan's array walk.  All-scalar plans give one column.
     """
 
-    labels: Tuple[str, ...]
-    alpha: np.ndarray
-    beta: np.ndarray
-    count: np.ndarray
-    nbytes: np.ndarray
-    total_bytes: np.ndarray
-    node_bytes: np.ndarray
-    enabled: np.ndarray          # bool: padded or disabled slots are False
-    is_cpu_max_rate: np.ndarray  # bool, shape (S, St, H, 1)
-    is_gpu_max_rate: np.ndarray  # bool, shape (S, St, H, 1)
-    repeat: np.ndarray           # shape (S, St, 1)
-    # machine constants captured at stack time
-    cpu_rate_node: float         # injection_rate * nics_per_node
-    gpu_rate: float              # gpu_injection_rate (may be inf)
-    gpu_rate_denom: float        # gpu_injection_rate * nics_per_node
-    gpus_per_node: int           # max(gpus_per_node, 1)
-    # locality-hierarchy extensions; None for all-flat plan sets (the
-    # evaluator then takes exactly the pre-hierarchy expressions)
-    cpu_rate: Optional[np.ndarray] = None   # (S, St, H, 1) per-hop NIC rate
-    amortize: Optional[np.ndarray] = None   # (S, St, 1) setup divisor
-
-    @property
-    def shape(self) -> Tuple[int, int, int, int]:
-        return self.alpha.shape
+    machine: MachineSpec
+    plans: Tuple[HopPlan, ...]
+    n: Optional[int] = None
 
     def evaluate(self) -> np.ndarray:
-        """Cost every plan for every element: returns shape ``(S, N)``.
-
-        Hop formulas run over the whole tensor; the three formula
-        families are then selected per hop slot.  Folds are explicit
-        left-associative loops over the (small) hop and stage axes so
-        the accumulation order matches :func:`evaluate_stages` exactly.
-        """
-        alpha, beta, count = self.alpha, self.beta, self.count
-        # SEQUENTIAL (and MEMCPY with count=1): postal model times count.
-        cost = count * (alpha + beta * self.nbytes)
-        if np.any(self.is_cpu_max_rate):
-            rate = (self.cpu_rate if self.cpu_rate is not None
-                    else self.cpu_rate_node)
-            cpu_mr = alpha * count + np.maximum(
-                self.node_bytes / rate,
-                self.total_bytes * beta)
-            cost = np.where(self.is_cpu_max_rate, cpu_mr, cost)
-        if np.any(self.is_gpu_max_rate):
-            if self.gpu_rate != float("inf"):
-                gpu_mr = alpha * count + np.maximum(
-                    self.gpus_per_node * self.total_bytes
-                    / self.gpu_rate_denom,
-                    self.total_bytes * beta)
-            else:
-                gpu_mr = alpha * count + self.total_bytes * beta
-            cost = np.where(self.is_gpu_max_rate, gpu_mr, cost)
-        # hop fold: the leading hop is unconditional by IR contract;
-        # later hops fold through where() exactly like stage_cost().
-        stage_total = cost[:, :, 0, :]
-        for h in range(1, cost.shape[2]):
-            stage_total = np.where(self.enabled[:, :, h, :],
-                                   stage_total + cost[:, :, h, :],
-                                   stage_total)
-        scaled = self.repeat * stage_total
-        if self.amortize is not None:
-            scaled = scaled / self.amortize
-        total = scaled[:, 0, :]
-        for st in range(1, scaled.shape[1]):
-            total = total + scaled[:, st, :]
-        return total
-
-
-def _plan_width(plans: Sequence[HopPlan]) -> int:
-    """Element width of the batch the plans were compiled from."""
-    for plan in plans:
-        for stage in plan.stages:
-            for hop in stage.hops:
-                for q in (hop.count, hop.nbytes, hop.total_bytes,
-                          hop.node_bytes, hop.enabled):
-                    if isinstance(q, np.ndarray) and q.ndim == 1:
-                        return int(q.size)
-    return 1
-
-
-def _fill(out: np.ndarray, value: Any) -> None:
-    """Broadcast a scalar or (N,) quantity into one hop slot."""
-    arr = np.asarray(value, dtype=out.dtype)
-    if arr.ndim > 1 or (arr.ndim == 1 and arr.shape != out.shape):
-        raise ValueError(
-            f"hop quantity of shape {arr.shape} does not broadcast to "
-            f"batch width {out.shape[0]}")
-    out[...] = arr
-
-
-def _link_row(machine: MachineSpec, hop: Hop) -> np.ndarray:
-    """The hop's link-table row, its constants scaled by the hop's tier."""
-    scales = ()
-    if hop.tier is not None:
-        tier = machine.locality_hierarchy[hop.tier]
-        scales = (tier.alpha_scale, tier.beta_scale)
-    return machine.comm_params.link_table(hop.kind.transport_kind,
-                                          hop.locality, hop.pre_posted,
-                                          *scales)
+        """Cost every plan for every element: returns shape ``(S, n)``."""
+        rows = [np.atleast_1d(np.asarray(
+            cost_plan(self.machine, plan, ARRAY_OPS), dtype=float))
+            for plan in self.plans]
+        n = max(row.size for row in rows) if self.n is None else self.n
+        return np.stack([np.broadcast_to(row, (n,)) for row in rows])
 
 
 def stack_plans(machine: MachineSpec, plans: Sequence[HopPlan],
-                n: Optional[int] = None) -> FusedPlans:
-    """Lower compiled plans into padded :class:`FusedPlans` tensors.
-
-    ``n`` is the element width; inferred from the first array-valued hop
-    quantity when omitted (``1`` for all-scalar plans).  The hop loop
-    records each send slot's link-table row (resolved once per distinct
-    ``(kind, locality, pre_posted, tier)``); protocol selection —
-    Table-2 alpha/beta per individual message size — then runs once over
-    all send slots through the same ``select_links`` the ARRAY_OPS
-    kernel uses, so the tensors are a pure re-layout, not a
-    re-derivation.
-    """
-    plans = list(plans)
+                n: Optional[int] = None) -> PlanStack:
+    """``plans`` held for one ``evaluate()`` over their ``n``-wide batch."""
     if not plans:
         raise ValueError("stack_plans requires at least one plan")
-    if n is None:
-        n = _plan_width(plans)
-    n_stages = max(len(p.stages) for p in plans)
-    n_hops = max((len(st.hops) for p in plans for st in p.stages), default=1)
-    shape = (len(plans), max(n_stages, 1), max(n_hops, 1), n)
-    nic = machine.nic
-    rate_node = nic.injection_rate * nic.nics_per_node
-    alpha = np.zeros(shape)
-    beta = np.zeros(shape)
-    link_rows: dict = {}
-    sends, send_rows = [], []   # (s, t, h) of each send slot, and its row
-    count = np.zeros(shape)
-    nbytes = np.zeros(shape)
-    total_bytes = np.zeros(shape)
-    node_bytes = np.zeros(shape)
-    enabled = np.zeros(shape, dtype=bool)
-    is_cpu_mr = np.zeros(shape[:3] + (1,), dtype=bool)
-    is_gpu_mr = np.zeros(shape[:3] + (1,), dtype=bool)
-    repeat = np.ones(shape[:2] + (1,))
-    cpu_rate: Optional[np.ndarray] = None
-    amortize: Optional[np.ndarray] = None
-    for s, plan in enumerate(plans):
-        for t, stage in enumerate(plan.stages):
-            repeat[s, t, 0] = stage.repeat
-            if stage.amortize_over != 1.0:
-                if amortize is None:
-                    amortize = np.ones(shape[:2] + (1,))
-                amortize[s, t, 0] = stage.amortize_over
-            for h, hop in enumerate(stage.hops):
-                _fill(nbytes[s, t, h], hop.nbytes)
-                if hop.kind is HopKind.MEMCPY:
-                    link = machine.copy_params.link(hop.direction, hop.nproc)
-                    alpha[s, t, h] = link.alpha
-                    beta[s, t, h] = link.beta
-                    count[s, t, h] = 1.0  # MEMCPY = SEQUENTIAL with count 1
-                else:
-                    key = (hop.kind, hop.locality, hop.pre_posted, hop.tier)
-                    row = link_rows.get(key)
-                    if row is None:
-                        row = link_rows[key] = _link_row(machine, hop)
-                    sends.append((s, t, h))
-                    send_rows.append(row)
-                    _fill(count[s, t, h], hop.count)
-                    if hop.serialization is Serialization.MAX_RATE:
-                        _fill(total_bytes[s, t, h], hop.total_bytes)
-                        if hop.kind is HopKind.CPU_SEND:
-                            _fill(node_bytes[s, t, h], hop.node_bytes)
-                            is_cpu_mr[s, t, h, 0] = True
-                            rate = cpu_injection_rate(machine, hop)
-                            if rate != rate_node and cpu_rate is None:
-                                cpu_rate = np.full(shape[:3] + (1,),
-                                                   rate_node)
-                            if cpu_rate is not None:
-                                cpu_rate[s, t, h, 0] = rate
-                        else:
-                            is_gpu_mr[s, t, h, 0] = True
-                enabled[s, t, h] = (True if hop.enabled is True
-                                    else np.asarray(hop.enabled, dtype=bool))
-    if sends:
-        at = tuple(np.array(sends).T)
-        alpha[at], beta[at] = select_links(np.array(send_rows)[:, None],
-                                           nbytes[at])
-    return FusedPlans(
-        labels=tuple(p.strategy for p in plans),
-        alpha=alpha, beta=beta, count=count, nbytes=nbytes,
-        total_bytes=total_bytes, node_bytes=node_bytes,
-        enabled=enabled, is_cpu_max_rate=is_cpu_mr,
-        is_gpu_max_rate=is_gpu_mr, repeat=repeat,
-        cpu_rate_node=rate_node,
-        gpu_rate=nic.gpu_injection_rate,
-        gpu_rate_denom=nic.gpu_injection_rate * nic.nics_per_node,
-        gpus_per_node=max(machine.gpus_per_node, 1),
-        cpu_rate=cpu_rate, amortize=amortize,
-    )
-
-
-def evaluate_plans_fused(machine: MachineSpec, plans: Sequence[HopPlan],
-                         n: Optional[int] = None) -> np.ndarray:
-    """Cost all ``plans`` over their shared batch in one fused pass.
-
-    Returns shape ``(len(plans), N)``; row ``s`` is bit-identical to
-    ``evaluate_stages(machine, plans[s].stages, ARRAY_OPS)``.
-    """
-    return stack_plans(machine, plans, n).evaluate()
+    return PlanStack(machine, tuple(plans), n)

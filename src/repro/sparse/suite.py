@@ -191,7 +191,7 @@ def measure_matrix_panel(spec) -> Dict[str, object]:
     }
     meta: Dict[int, Dict] = {}
     for gpus in gpu_counts:
-        nodes = gpus // gpn
+        nodes = -(-gpus // gpn)  # ceil: the last node may be part-filled
         if nodes < 2:
             raise ValueError(f"gpu count {gpus} gives < 2 nodes")
         job = SimJob(machine, num_nodes=nodes, ppn=ppn,

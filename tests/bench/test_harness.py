@@ -18,7 +18,12 @@ from repro.bench import (
     table3_data,
     table4_data,
 )
-from repro.machine import lassen
+from repro.core.base import default_data, run_exchange, verify_exchange
+from repro.core.selector import all_strategies
+from repro.machine import lassen, resolve_machine
+from repro.mpi.job import SimJob
+from repro.sparse.distributed import DistributedCSR
+from repro.sparse.suite import SUITE
 
 M = lassen()
 
@@ -82,6 +87,30 @@ class TestFigureData:
         assert d["gpus"] == [8]
         assert len(d["series"]) == 8
         assert d["meta"][8]["inter_node_msgs"] > 0
+
+    def test_part_filled_last_node_on_summit(self):
+        """6 GPUs per node: 8 GPUs need 2 nodes and 16 need 3, not 1 and 2."""
+        summit = resolve_machine("summit")
+        panel = fig5_1_data(summit, matrices=["thermal2"], gpu_counts=(8, 16),
+                            matrix_n=4096, ppn=8)["thermal2"]
+        assert len(panel["series"]) == 8
+        assert all(len(times) == 2 and min(times) > 0
+                   for times in panel["series"].values())
+        data = fig4_2_data(summit, gpu_counts=(8, 16), matrix_n=3000, ppn=8)
+        assert [data[g]["meta"]["nodes"] for g in (8, 16)] == [2, 3]
+        assert set(data[16]["measured"]) == set(data[16]["model"])
+
+    @pytest.mark.parametrize("gpus, nodes", [(8, 2), (16, 3)])
+    def test_every_strategy_delivers_on_a_part_filled_node(self, gpus, nodes):
+        job = SimJob(resolve_machine("summit"), num_nodes=nodes, ppn=8)
+        pattern = DistributedCSR(SUITE["thermal2"].build(4096),
+                                 num_gpus=gpus).comm_pattern()
+        data = default_data(pattern, job.layout)
+        strategies = all_strategies(include_extended=True)
+        assert len(strategies) == 13
+        for strategy in strategies:
+            verify_exchange(run_exchange(job, strategy, pattern, data=data),
+                            pattern, data)
 
 
 class TestRender:

@@ -80,20 +80,6 @@ def test_link_arrays_rejects_negative_sizes():
                            np.array([8.0, -1.0]))
 
 
-def test_link_table_scales_the_constants_not_the_limits():
-    """Tier scales: ``scale * const``, what the per-element multiply did."""
-    params = resolve_machine("frontier_like").comm_params
-    key = (TransportKind.CPU, Locality.OFF_NODE, True)
-    base = params.link_table(*key)
-    assert params.link_table(*key, 1.0, 1.0) is base  # shared, read-only
-    assert not base.flags.writeable
-    row = params.link_table(*key, alpha_scale=0.5, beta_scale=0.3)
-    assert _hex(row[:2]) == _hex(base[:2])
-    assert _hex(row[2:5]) == _hex(0.5 * base[2:5])
-    assert _hex(row[5:]) == _hex(0.3 * base[5:])
-    assert _hex(params.link_table(*key)) == _hex(base)  # base untouched
-
-
 def test_select_links_broadcasts_rows_against_sizes():
     """Per-slot rows (…, 1, 8) against a (…, N) size tensor."""
     params = resolve_machine("lassen").comm_params

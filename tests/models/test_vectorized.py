@@ -14,7 +14,7 @@ from repro.models.scenarios import (
     sweep_scenario,
 )
 from repro.models.strategies import all_strategy_models, model_label
-from repro.models.vectorized import SummaryBatch
+from repro.models.pattern_summary import SummaryBatch
 
 # spans every protocol regime, both threshold edges, zero and huge sizes
 SIZES = [0.0, 1.0, 512.0, 513.0, 4096.0, 8192.0, 8193.0,

@@ -1,17 +1,17 @@
-"""Fused multi-plan evaluation: one kernel call == per-plan ARRAY_OPS.
+"""``fused_scenario_times``: one stage walk, point or batch by shape.
 
-:func:`repro.paths.evaluate_plans_fused` stacks every compiled plan's
-stages into padded operand tensors and costs the whole strategy x
-element grid in one numpy pass.  These tests pin the contract the sweep
-layer relies on: row ``s`` of the fused result is *bit-identical* to
-evaluating ``plans[s]`` alone with the ARRAY_OPS kernel — across
-machines, strategies, batch widths and duplicate-removal fractions.
+The sweep funnel costs exactly one cell with the scalar algebra and
+anything wider with the array algebra.  These tests pin what callers
+rely on: a cell costs the same bits on either side of that seam and
+fails with the same error, and ``stack_plans`` — the call shape the
+perfbench probe uses — is the per-plan array walk.
 """
 
 import numpy as np
 import pytest
 
 from repro.machine import resolve_machine
+from repro.models.pattern_summary import SummaryBatch
 from repro.models.scenarios import (
     PAPER_SCENARIOS,
     Scenario,
@@ -19,15 +19,7 @@ from repro.models.scenarios import (
     scenario_summary,
 )
 from repro.models.strategies import all_strategy_models, model_label
-from repro.models.vectorized import SummaryBatch
-from repro.paths import (
-    ARRAY_OPS,
-    SCALAR_OPS,
-    cost_plan,
-    evaluate_plans_fused,
-    evaluate_stages,
-    stack_plans,
-)
+from repro.paths import SCALAR_OPS, cost_plan, stack_plans
 
 MACHINES = ["lassen", "summit", "frontier_like"]
 SIZES = np.logspace(0, 7, 12)
@@ -40,62 +32,36 @@ def _batch(machine):
 
 
 @pytest.mark.parametrize("machine_name", MACHINES)
-@pytest.mark.parametrize("dup_fraction", [0.0, 0.25])
-def test_fused_rows_bit_identical_to_array_ops(machine_name, dup_fraction):
-    machine = resolve_machine(machine_name)
-    batch = _batch(machine)
-    models = all_strategy_models(machine)
-    plans = [m.compile_plan_batch(batch, dup_fraction=dup_fraction)
-             for m in models]
-    fused = evaluate_plans_fused(machine, plans, n=batch.node_bytes.size)
-    assert fused.shape == (len(plans), batch.node_bytes.size)
-    for s, (model, plan) in enumerate(zip(models, plans)):
-        reference = evaluate_stages(machine, plan.stages, ARRAY_OPS)
-        assert np.array_equal(fused[s], reference), \
-            (model_label(model), machine_name)
-
-
-@pytest.mark.parametrize("machine_name", MACHINES)
 def test_fused_scalar_plans_match_cost_plan(machine_name):
     """Width-1 case: plans compiled from scalar summaries, no arrays."""
     machine = resolve_machine(machine_name)
     summary = scenario_summary(machine, PAPER_SCENARIOS[0], 4096.0)
-    models = all_strategy_models(machine)
+    models = all_strategy_models(machine, include_extended=True)
     plans = [m.compile_plan(summary) for m in models]
-    fused = evaluate_plans_fused(machine, plans)
-    assert fused.shape == (len(plans), 1)
+    stacked = stack_plans(machine, plans).evaluate()
+    assert stacked.shape == (len(plans), 1)
     for s, (model, plan) in enumerate(zip(models, plans)):
-        assert float(fused[s, 0]) == cost_plan(machine, plan, SCALAR_OPS), \
+        assert float(stacked[s, 0]) == cost_plan(machine, plan, SCALAR_OPS), \
             model_label(model)
-        assert float(fused[s, 0]) == model.time(summary), model_label(model)
+        assert float(stacked[s, 0]) == model.time(summary), model_label(model)
+
+
+def test_stack_plans_over_a_batch_is_the_array_walk():
+    """The perfbench probe's call: batch plans, explicit width."""
+    machine = resolve_machine("lassen")
+    batch = _batch(machine)
+    models = all_strategy_models(machine, include_extended=True)
+    plans = [m.compile_plan_batch(batch) for m in models]
+    stacked = stack_plans(machine, plans, n=batch.node_bytes.size).evaluate()
+    assert stacked.shape == (len(plans), batch.node_bytes.size)
+    for row, model in zip(stacked, models):
+        assert np.array_equal(row, model.time_sweep(batch)), \
+            model_label(model)
 
 
 def test_stack_plans_requires_at_least_one_plan():
-    machine = resolve_machine("lassen")
     with pytest.raises(ValueError, match="at least one plan"):
-        stack_plans(machine, [])
-    with pytest.raises(ValueError, match="at least one plan"):
-        evaluate_plans_fused(machine, [])
-
-
-def test_stacked_tensors_are_padded_uniformly():
-    """Plans with different stage/hop counts share one padded shape."""
-    machine = resolve_machine("lassen")
-    batch = _batch(machine)
-    models = all_strategy_models(machine)
-    plans = [m.compile_plan_batch(batch) for m in models]
-    fp = stack_plans(machine, plans, n=batch.node_bytes.size)
-    assert fp.labels == tuple(p.strategy for p in plans)
-    n_stages = max(len(p.stages) for p in plans)
-    n_hops = max(len(st.hops) for p in plans for st in p.stages)
-    expected = (len(plans), n_stages, n_hops, batch.node_bytes.size)
-    for field in (fp.alpha, fp.beta, fp.count, fp.nbytes,
-                  fp.total_bytes, fp.node_bytes, fp.enabled):
-        assert field.shape == expected
-    # padding slots are disabled, so they never contribute cost
-    for s, plan in enumerate(plans):
-        for st in range(len(plan.stages), n_stages):
-            assert not fp.enabled[s, st].any()
+        stack_plans(resolve_machine("lassen"), [])
 
 
 @pytest.mark.parametrize("machine_name", MACHINES)
@@ -123,12 +89,46 @@ def test_fused_scenario_times_bit_identical_to_scalar_models(
                     (model_label(model), c, z)
 
 
-def test_fused_slice_equivariance():
-    """Fusing a subset of plans gives the same rows as fusing all."""
+def _hex(times):
+    return [float(t).hex() for t in np.ravel(times)]
+
+
+@pytest.mark.parametrize("machine_name", MACHINES)
+def test_one_cell_alone_equals_the_cell_inside_a_batch(machine_name):
+    """The seam: one cell takes the scalar walk, two the array walk."""
+    machine = resolve_machine(machine_name)
+    here = Scenario(num_dest_nodes=8, num_messages=256, dup_fraction=0.25)
+    other = Scenario(num_dest_nodes=16, num_messages=32)
+    for size in (0.0, 8.0, 4096.0, 3.0e5):
+        labels, alone = fused_scenario_times(machine, [here], [size],
+                                             include_extended=True)
+        assert len(labels) == 15 and alone.shape == (15, 1, 1)
+        _, row = fused_scenario_times(machine, [here], [size, 1.0e6],
+                                      include_extended=True)
+        _, col = fused_scenario_times(machine, [here, other], [size],
+                                      include_extended=True)
+        assert row.shape == (15, 1, 2) and col.shape == (15, 2, 1)
+        assert _hex(row[:, 0, 0]) == _hex(alone) == _hex(col[:, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+def test_bad_sizes_raise_the_same_error_for_one_cell_and_for_two(bad):
     machine = resolve_machine("lassen")
-    batch = _batch(machine)
-    plans = [m.compile_plan_batch(batch)
-             for m in all_strategy_models(machine)]
-    full = evaluate_plans_fused(machine, plans, n=batch.node_bytes.size)
-    half = evaluate_plans_fused(machine, plans[:3], n=batch.node_bytes.size)
-    assert np.array_equal(full[:3], half)
+    messages = []
+    for sizes in ([bad], [bad, 8.0]):
+        with pytest.raises(ValueError, match="msg sizes must be >= 0") as err:
+            fused_scenario_times(machine, PAPER_SCENARIOS[:1], sizes)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("n_scenarios", [0, 1, 2])
+@pytest.mark.parametrize("n_sizes", [0, 1, 2])
+def test_empty_requests_keep_their_shapes(n_scenarios, n_sizes):
+    machine = resolve_machine("lassen")
+    scenarios, sizes = PAPER_SCENARIOS[:n_scenarios], [8.0, 64.0][:n_sizes]
+    labels, times = fused_scenario_times(machine, scenarios, sizes)
+    assert times.shape == (len(labels), n_scenarios, n_sizes)
+    labels, times = fused_scenario_times(machine, scenarios, sizes, models=[])
+    assert labels == [] and times.shape == (0, n_scenarios, n_sizes)
+    assert times.dtype == np.float64

@@ -12,7 +12,7 @@ import pytest
 from repro.machine import resolve_machine
 from repro.models.scenarios import PAPER_SCENARIOS, scenario_summary
 from repro.models.strategies import all_strategy_models, model_label
-from repro.models.vectorized import SummaryBatch
+from repro.models.pattern_summary import SummaryBatch
 from repro.paths import SCALAR_OPS, cost_plan
 
 MACHINES = ["lassen", "summit", "frontier_like"]

@@ -2,8 +2,8 @@
 
 ``tier_flat/...`` goldens in ``tests/data/golden_times.json`` were
 captured from the pre-hierarchy model code; every strategy model must
-keep reproducing them bit-for-bit through both the scalar and the fused
-kernels — the locality-hierarchy machinery is a strict superset of the
+keep reproducing them bit-for-bit through both the scalar and the array
+walks — the locality-hierarchy machinery is a strict superset of the
 flat postal model.
 """
 
@@ -169,15 +169,16 @@ class TestSetupAmortization:
 
 
 # ---------------------------------------------------------------------------
-# Fused kernel bit-identity on *tiered* plans (the extended families)
+# Array walk == scalar walk on *tiered* plans (the extended families)
 # ---------------------------------------------------------------------------
 class TestFusedTieredIdentity:
     @pytest.mark.parametrize("name", MACHINES)
-    def test_fused_matches_scalar_for_extended_models(self, name):
+    @pytest.mark.parametrize("dup", [0.0, 0.25])
+    def test_fused_matches_scalar_for_extended_models(self, name, dup):
         m = resolve_machine(name)
         models = all_strategy_models(m, include_best_case=False,
                                      include_extended=True)
-        sc = Scenario(num_dest_nodes=8, num_messages=256)
+        sc = Scenario(num_dest_nodes=8, num_messages=256, dup_fraction=dup)
         sizes = np.logspace(1, 6, 6)
         fused = sweep_scenario(m, sc, sizes, models=models)
         assert len(fused) == 13
@@ -185,5 +186,5 @@ class TestFusedTieredIdentity:
             series = fused[model_label(model)]
             for j, size in enumerate(sizes):
                 s = scenario_summary(m, sc, msg_size=float(size))
-                assert float(series[j]) == model.time(s), \
+                assert float(series[j]) == model.time(s, dup), \
                     (model_label(model), size)

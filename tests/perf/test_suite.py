@@ -6,16 +6,18 @@ import pytest
 
 from repro.perf import run_suite, write_report
 from repro.perf.suite import (
+    MIN_ARRAY_CELLS_PER_S,
     MIN_ATLAS_QUERIES_PER_S,
     SCHEMA,
     _engine_workload,
     _find_strategy,
+    _plan_cost_workload,
     compare_reports,
     main,
 )
 
 WORKLOADS = ["engine", "pingpong", "spmv", "scenarios",
-             "sweep_fused", "hier_strategies", "atlas_query", "hop_plan",
+             "plan_cost", "hier_strategies", "atlas_query",
              "obs_overhead", "sweep_parallel"]
 
 
@@ -46,19 +48,16 @@ def test_smoke_suite_runs_and_reports(tmp_path, capsys):
     assert "serial_cells_per_s_per_s" not in parallel.metrics
     # the cached arm skips every shard, so it beats serial handily
     assert parallel.metrics["speedup_cached"] > 1.0
-    # the hop-plan kernel asserts bit-identity internally and reports
-    # the vectorized-over-scalar ratio without a _per_s companion
-    hop_plan = next(r for r in results if r.name == "hop_plan")
-    assert "speedup_vectorized" in hop_plan.metrics
-    assert "speedup_vectorized_per_s" not in hop_plan.metrics
-    # the fused sweep workload enforces its >= 10x floor internally;
-    # explicit rates get no second _per_s companion
-    fused = next(r for r in results if r.name == "sweep_fused")
-    assert fused.metrics["speedup_fused"] >= 10.0
-    assert "fused_cells_per_s" in fused.metrics
-    assert "fused_cells_per_s_per_s" not in fused.metrics
+    # the plan-cost workload asserts array == scalar bit-identity and
+    # enforces its absolute floor internally; explicit rates get no
+    # second _per_s companion
+    plan_cost = next(r for r in results if r.name == "plan_cost")
+    assert plan_cost.metrics["array_cells_per_s"] >= MIN_ARRAY_CELLS_PER_S
+    assert plan_cost.metrics["scalar_cells_per_s"] > 0.0
+    assert "array_cells_per_s_per_s" not in plan_cost.metrics
+    assert not any("speedup" in key for key in plan_cost.metrics)
     # the tiered-plan workload covers the full 13-model registry and
-    # asserts fused == scalar bit-identity on tiered plans internally
+    # asserts array == scalar bit-identity on tiered plans internally
     hier = next(r for r in results if r.name == "hier_strategies")
     assert hier.metrics["models"] == 13.0
     assert "fused_cells_per_s" in hier.metrics
@@ -75,7 +74,7 @@ def test_smoke_suite_runs_and_reports(tmp_path, capsys):
     assert on_disk == json.loads(json.dumps(report))
     assert on_disk["suite"] == "repro.perf"
     assert on_disk["schema"] == SCHEMA
-    assert SCHEMA == 7
+    assert SCHEMA == 8
     assert on_disk["smoke"] is True
     assert on_disk["machine"] == "lassen"
     assert on_disk["total_wall_s"] > 0.0
@@ -109,6 +108,12 @@ def test_engine_floor_is_enforced():
     # per CPU-second, inside the workload (see MIN_ENGINE_EVENTS_PER_S)
     with pytest.raises(AssertionError, match="below the"):
         _engine_workload(procs=2, timeouts=10, min_events_per_s=1e12)()
+
+
+def test_plan_cost_floor_is_enforced():
+    # per CPU-second, inside the workload (see MIN_ARRAY_CELLS_PER_S)
+    with pytest.raises(AssertionError, match="below the"):
+        _plan_cost_workload(4, (0.0,), min_cells_per_s=1e12)()
 
 
 def _fake_report(wall_by_name, smoke=True, schema=SCHEMA):
