@@ -10,13 +10,11 @@ Usage::
     python -m repro scenario [--machine M] [--jobs N] [-o out.json]
                                           # sweep the paper scenarios
                                           # and print modelled times
-    python -m repro perf [--smoke] [--repeats N] [--jobs N]
-                         [--only NAME[,NAME...]] [--compare BASELINE.json]
-                         [--tolerance F] [-o OUT.json]
-                                          # wall-clock micro-suite ->
-                                          # BENCH_repro.json; --compare
-                                          # exits 1 on regression beyond
-                                          # --tolerance vs the baseline
+    python -m repro perf [--smoke] [--repeats N] [--only NAME[,NAME...]]
+                         [--ledger L.jsonl]
+                                          # wall-clock micro-suite; exits
+                                          # non-zero when a workload
+                                          # misses its absolute floor
     python -m repro trace [SCENARIO] [--smoke] [-o trace.json]
                                           # traced run -> Perfetto JSON
     python -m repro chaos [--seed N] [--smoke] [--jobs N] [--cache]
@@ -34,8 +32,7 @@ Usage::
     python -m repro atlas query A.atlas N_NODES MSGS SIZE [--dup F]
                                           # O(1) winner + margin lookup
     python -m repro atlas info A.atlas    # describe an artifact
-    python -m repro obs report LEDGER     # summarize a run ledger /
-                                          # BENCH_repro.json
+    python -m repro obs report LEDGER     # summarize a run ledger
     python -m repro obs diff A B          # regression attribution
                                           # between two runs
     python -m repro obs flame LEDGER      # collapsed stacks (flamegraph)
@@ -51,7 +48,7 @@ spelling — ``frontier-like`` == ``frontier_like``; default lassen).
 ``--ledger PATH`` writes a schema-versioned JSONL run ledger (see
 docs/observability.md) consumed by ``python -m repro obs``.
 
-``report``, ``scenario``, ``perf`` and ``chaos`` also take
+``report``, ``scenario`` and ``chaos`` also take
 ``--max-retries N`` / ``--task-timeout SECONDS`` / ``--resume``: any of
 them gives the sweep a failure policy — watchdog deadlines, pool
 respawn after worker loss, seeded retry with quarantine — and a shard

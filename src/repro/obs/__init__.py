@@ -8,8 +8,9 @@ hot paths diagnosable instead of guessable:
   resources (NIC byte-server occupancy), the transport (per-message
   spans with protocol/locality/phase attributes) and the strategies
   (named phase spans).  The default :class:`NullTracer` costs one
-  cached-boolean branch per record site — the ``obs_overhead`` perf
-  workload pins that the disabled path stays within noise.
+  cached-boolean branch per record site; the untraced ``perfbench/``
+  workloads time that path, and their traced runs report
+  ``obs.tracer_overhead`` and ``trace.overhead``.
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with p50/p95/p99 summaries, snapshotted by
   ``SimJob.metrics()`` into a stable JSON schema.

@@ -1,8 +1,8 @@
-"""``python -m repro obs`` — analyze run ledgers and perf reports.
+"""``python -m repro obs`` — analyze run ledgers.
 
 Subcommands
 -----------
-``obs report <ledger|BENCH.json>``
+``obs report <ledger>``
     One-page summary of a run: header (run id, command, machine, git),
     per-strategy/per-phase cost breakdown, latency histograms with
     p50/p95/p99, cache hit rate, fleet telemetry (workers, chunk
@@ -10,12 +10,9 @@ Subcommands
     section (retries, pool respawns, resumed shards, quarantined
     tasks).
 ``obs diff <A> <B>``
-    **Regression attribution** between two artifacts.  For two perf
-    reports it generalizes :func:`repro.perf.suite.compare_reports`
-    into a full per-workload delta table plus the gate messages; for
-    two ledgers it ranks the (scenario, strategy) cells whose cost
-    moved and attributes the largest mover to the strategy *phase*
-    carrying the change.
+    **Regression attribution** between two ledgers: ranks the
+    (scenario, strategy) cells whose cost moved and attributes the
+    largest mover to the strategy *phase* carrying the change.
 ``obs flame <ledger>``
     Collapsed-stack output (``flamegraph.pl`` / speedscope format) from
     the ledger's sampling-profiler stacks when the run used
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.ledger import (
     ENVELOPE_KEY,
@@ -102,30 +99,13 @@ def render_hotspots(rows: Sequence[Mapping[str, Any]],
 
 
 # ---------------------------------------------------------------------------
-# Artifact loading
+# Ledger loading
 # ---------------------------------------------------------------------------
-def load_artifact(path: str) -> Tuple[str, Any]:
-    """Load ``path`` as ``("perf", report)`` or ``("ledger", records)``.
-
-    A file whose entire content is one JSON object with
-    ``"suite": "repro.perf"`` is a BENCH_repro.json perf report;
-    anything else must parse as a JSONL run ledger.
-    """
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = None
-    if isinstance(data, dict):
-        if data.get("suite") == "repro.perf":
-            return "perf", data
-        raise ValueError(
-            f"{path}: JSON object is neither a repro.perf report nor a "
-            f"JSONL ledger")
+def _load_ledger(path: str) -> List[Dict[str, Any]]:
+    """``read_ledger`` + ``validate_ledger``: the records of a valid ledger."""
     records = read_ledger(path)
     validate_ledger(records)
-    return "ledger", records
+    return records
 
 
 class LedgerSummary:
@@ -240,20 +220,11 @@ def _histogram_lines(name: str, hist: Mapping[str, Any],
     return lines
 
 
-def render_report(kind: str, data: Any, top: int = DEFAULT_TOP) -> str:
-    """Text body of ``obs report`` for a loaded artifact."""
+def render_report(records: Sequence[Mapping[str, Any]],
+                  top: int = DEFAULT_TOP) -> str:
+    """Text body of ``obs report`` for a ledger's records."""
     lines: List[str] = []
-    if kind == "perf":
-        lines.append(f"perf report: schema {data.get('schema')}, "
-                     f"machine {data.get('machine')}, "
-                     f"smoke={data.get('smoke')}")
-        for w in data.get("workloads", []):
-            lines.append(f"  {w['name']:<16s} wall {w['wall_s']:.4f} s "
-                         f"(median {w.get('wall_median_s', 0.0):.4f} s, "
-                         f"{w['repeats']} repeats)")
-        return "\n".join(lines)
-
-    summary = LedgerSummary(data)
+    summary = LedgerSummary(records)
     head = summary.header
     lines.append(f"run {summary.run_id}: repro {summary.cmd} "
                  f"(schema {head.get('schema')}, "
@@ -411,41 +382,6 @@ def render_report(kind: str, data: Any, top: int = DEFAULT_TOP) -> str:
 # ---------------------------------------------------------------------------
 # obs diff — regression attribution
 # ---------------------------------------------------------------------------
-def diff_perf_reports(a: Mapping[str, Any], b: Mapping[str, Any],
-                      tolerance: float = 0.25) -> Dict[str, Any]:
-    """Per-workload wall delta table + the compare_reports gate.
-
-    Generalizes :func:`repro.perf.suite.compare_reports` — instead of
-    only regression messages, every shared workload's delta is
-    reported; the gate messages (and the implied non-zero exit) ride
-    along under ``"regressions"``.
-    """
-    from repro.perf.suite import compare_reports
-
-    def _wall(w: Mapping[str, Any]) -> float:
-        return float(w.get("wall_median_s") or w["wall_s"])
-
-    wa = {w["name"]: w for w in a.get("workloads", [])}
-    wb = {w["name"]: w for w in b.get("workloads", [])}
-    deltas = []
-    for name in [n for n in wb if n in wa]:
-        t_a, t_b = _wall(wa[name]), _wall(wb[name])
-        deltas.append({
-            "name": name, "a_s": t_a, "b_s": t_b,
-            "delta_s": t_b - t_a,
-            "ratio": t_b / t_a if t_a > 0 else float("inf"),
-        })
-    deltas.sort(key=lambda d: (-abs(d["delta_s"]), d["name"]))
-    return {
-        "kind": "perf",
-        "deltas": deltas,
-        "only_a": sorted(set(wa) - set(wb)),
-        "only_b": sorted(set(wb) - set(wa)),
-        "regressions": compare_reports(dict(a), dict(b),
-                                       tolerance=tolerance),
-    }
-
-
 def diff_ledgers(a: Sequence[Mapping[str, Any]],
                  b: Sequence[Mapping[str, Any]],
                  top: int = DEFAULT_TOP) -> Dict[str, Any]:
@@ -515,24 +451,6 @@ def diff_ledgers(a: Sequence[Mapping[str, Any]],
 def render_diff(diff: Mapping[str, Any], top: int = DEFAULT_TOP) -> str:
     """Text body of ``obs diff`` for a diff structure."""
     lines: List[str] = []
-    if diff["kind"] == "perf":
-        lines.append("perf report diff (A -> B, wall median seconds)")
-        for d in diff["deltas"][:top]:
-            lines.append(f"  {d['name']:<16s} {d['a_s']:.4f} -> "
-                         f"{d['b_s']:.4f} s  "
-                         f"({(d['ratio'] - 1.0) * 100:+.0f}%)")
-        for name in diff["only_a"]:
-            lines.append(f"  {name}: only in A")
-        for name in diff["only_b"]:
-            lines.append(f"  {name}: only in B")
-        if diff["regressions"]:
-            lines.append("regressions (beyond tolerance):")
-            for message in diff["regressions"]:
-                lines.append(f"  REGRESSION {message}")
-        else:
-            lines.append("no regressions beyond tolerance")
-        return "\n".join(lines)
-
     a, b = diff["a"], diff["b"]
     lines.append(f"ledger diff: {a['run_id']} ({a['cmd']}) -> "
                  f"{b['run_id']} ({b['cmd']})")
@@ -604,25 +522,30 @@ def flame_lines(records: Sequence[Mapping[str, Any]]) -> List[str]:
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+def _top(text: str) -> int:
+    """argparse type of ``--top``: a row count of at least one."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro obs",
-        description="Analyze run ledgers and perf reports.")
+        description="Analyze run ledgers.")
     sub = parser.add_subparsers(dest="obs_cmd", required=True)
 
-    p = sub.add_parser("report", help="summarize one ledger/perf report")
-    p.add_argument("path", help="ledger .jsonl or BENCH_repro.json")
-    p.add_argument("--top", type=int, default=DEFAULT_TOP,
+    p = sub.add_parser("report", help="summarize one ledger")
+    p.add_argument("path", help="ledger .jsonl")
+    p.add_argument("--top", type=_top, default=DEFAULT_TOP,
                    help="rows per table (default: %(default)s)")
 
     p = sub.add_parser("diff", help="regression attribution A -> B")
-    p.add_argument("a", help="baseline artifact")
-    p.add_argument("b", help="current artifact")
-    p.add_argument("--top", type=int, default=DEFAULT_TOP,
+    p.add_argument("a", help="baseline ledger")
+    p.add_argument("b", help="current ledger")
+    p.add_argument("--top", type=_top, default=DEFAULT_TOP,
                    help="movers to show (default: %(default)s)")
-    p.add_argument("--tolerance", type=float, default=0.25,
-                   help="perf-report regression tolerance "
-                        "(default: %(default)s)")
     p.add_argument("-o", "--output", default=None,
                    help="also write the structured diff as JSON here")
 
@@ -640,33 +563,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.obs_cmd == "report":
-        kind, data = load_artifact(args.path)
-        print(render_report(kind, data, top=args.top))
+        print(render_report(_load_ledger(args.path), top=args.top))
         return 0
 
     if args.obs_cmd == "diff":
-        (kind_a, a), (kind_b, b) = load_artifact(args.a), \
-            load_artifact(args.b)
-        if kind_a != kind_b:
-            raise ValueError(
-                f"cannot diff a {kind_a} artifact against a {kind_b} one "
-                f"({args.a} vs {args.b})")
-        if kind_a == "perf":
-            diff = diff_perf_reports(a, b, tolerance=args.tolerance)
-        else:
-            diff = diff_ledgers(a, b, top=args.top)
+        diff = diff_ledgers(_load_ledger(args.a), _load_ledger(args.b),
+                            top=args.top)
         print(render_diff(diff, top=args.top))
         if args.output:
             with open(args.output, "w") as fh:
                 json.dump(diff, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        return 1 if diff.get("regressions") else 0
+        return 0
 
     if args.obs_cmd == "flame":
-        kind, records = load_artifact(args.path)
-        if kind != "ledger":
-            raise ValueError(f"{args.path}: obs flame needs a ledger")
-        lines = flame_lines(records)
+        lines = flame_lines(_load_ledger(args.path))
         if args.output:
             with open(args.output, "w") as fh:
                 for line in lines:

@@ -21,8 +21,9 @@ Two implementations:
     The default.  ``enabled`` is ``False`` and every method is a no-op;
     hot paths guard emission with a single cached boolean (e.g.
     ``Simulator._trace_on``), so the disabled path costs one branch —
-    the pay-for-what-you-use contract the perf suite's ``obs_overhead``
-    workload pins.
+    the pay-for-what-you-use contract.  The untraced ``perfbench/``
+    workloads time that path; their traced runs report
+    ``obs.tracer_overhead`` and ``trace.overhead``.
 :class:`MemoryTracer`
     Appends records to in-memory lists, consumed by the exporters in
     :mod:`repro.obs.export`.

@@ -10,7 +10,7 @@ simulator semantics change and every stale entry invalidates at once).
 Two tiers:
 
 * an **in-memory** dict, always on — repeated sweeps inside one process
-  (e.g. the perf suite's warm-cache arm) hit it for free;
+  hit it for free;
 * an optional **on-disk** tier (``directory=...``), one pickle file per
   key under ``<dir>/<key[:2]>/<key>.pkl`` with atomic writes, so
   re-running a figure grid or chaos sweep across processes skips

@@ -1,7 +1,7 @@
 """Shared CLI plumbing for a sweep's failure policy.
 
-Every sweep-shaped entry point (``scenario``, ``report``, ``perf``,
-``chaos``) exposes the same three supervision flags; this module keeps
+Every sweep-shaped entry point (``scenario``, ``report``, ``chaos``,
+``atlas build``) exposes the same three supervision flags; this module keeps
 their definitions and the flag → :class:`~repro.par.executor.SweepPolicy`
 translation in one place so the semantics cannot drift between
 subcommands.  ``chaos`` layers its own ``--proc-faults`` handling on

@@ -1,7 +1,7 @@
 """Parallel sweep executor: deterministic fan-out over process pools.
 
 Every expensive entry point in the repro (chaos sweeps, figure grids,
-the SpMV suite, scenario model sweeps, the perf suite) is a loop over
+the SpMV suite, scenario model sweeps, atlas builds) is a loop over
 **independent, pure** shard evaluations.  :func:`sweep_map` is the one
 fan-out primitive they all share, and it has **one executor**: a
 supervised gather loop (:class:`_Supervisor`) whose arguments set the

@@ -5,20 +5,19 @@ measures the *wall clock* the simulator spends producing it, so speedups
 (or regressions) of the DES kernel and the message-costing hot loop are
 visible as numbers instead of anecdotes.
 
-``python -m repro perf`` runs a fixed micro-suite and writes
-``BENCH_repro.json``; see :mod:`repro.perf.suite`.
+``python -m repro perf`` runs a fixed micro-suite whose workloads assert
+their own absolute floors; ``--ledger`` records the timings as a run
+ledger.  See :mod:`repro.perf.suite`.
 """
 
 from repro.perf.suite import (
     WorkloadResult,
     default_workloads,
     run_suite,
-    write_report,
 )
 
 __all__ = [
     "WorkloadResult",
     "default_workloads",
     "run_suite",
-    "write_report",
 ]

@@ -1,11 +1,11 @@
-"""Timed micro-suite over the simulator's hot paths.
+"""Timed micro-suite over the simulator's hot paths — the CI perf gate.
 
 The workloads cover the layers the optimisation work targets:
 
 ``engine``
     Raw DES kernel event throughput: many processes looping on
     zero-cost bookkeeping plus heap-scheduled timeouts, held to an
-    absolute events/s floor.
+    absolute events-per-CPU-second floor.
 ``pingpong``
     The Table-2 refit (:func:`repro.benchpress.pingpong.fit_comm_table`)
     — message costing, protocol selection and the sweep-reuse path.
@@ -15,15 +15,6 @@ The workloads cover the layers the optimisation work targets:
 ``scenarios``
     The Figure-4.3 scenario grid over all strategy models — the
     batched analytic-model path.
-``obs_overhead``
-    A message-heavy alltoall exchange with the default
-    :class:`~repro.obs.tracer.NullTracer` — guards the pay-for-what-
-    you-use contract of :mod:`repro.obs` (tracing off must cost ~0).
-``sweep_parallel``
-    The chaos-smoke sweep through :func:`repro.par.sweep_map` — serial,
-    fanned out over workers, and warm-cache — reporting the parallel
-    and cached speedups over the serial baseline (and asserting all
-    three reports stay byte-identical).
 ``plan_cost``
     The one plan evaluator under both algebras: every (strategy x
     scenario x size) cell through
@@ -37,51 +28,25 @@ The workloads cover the layers the optimisation work targets:
     :func:`~repro.models.scenarios.best_strategy` evaluation, asserting
     winner-for-winner exact agreement and an absolute lookups/s floor
     (the atlas is built outside the timed region — it is the offline
-    artifact; the ratio over the exact arm is reported, not enforced).
+    artifact).
 
 Each workload reports its wall clock (best and median of ``repeats``)
 plus a throughput metric (virtual events/sec, simulated messages/sec or
-model evaluations/sec).  All workloads run the simulator with fixed
-seeds, so the *virtual* results are deterministic; only the wall clock
-varies.
+model evaluations/sec).  The floors and identities are assertions
+inside the workloads, so a miss raises and the run exits non-zero;
+``perfbench/`` is the benchmark of record for host time.  All
+workloads run the simulator with fixed seeds, so the *virtual* results
+are deterministic; only the wall clock varies.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-
-#: report schema version (bump when fields change meaning).
-#: Schema 2 adds ``wall_median_s`` per workload (``wall_s`` keeps its
-#: schema-1 best-of-repeats meaning) and the ``sweep_parallel``
-#: workload, whose ``speedup_*`` metrics carry no ``_per_s`` companion.
-#: Schema 3 adds the ``hop_plan`` workload and a top-level ``machine``
-#: field naming the preset the suite ran on.
-#: Schema 4 adds the batched-DES and ``sweep_fused`` workloads
-#: (each asserting bit-identity plus a speedup floor internally), and
-#: keys already ending in ``_per_s`` no longer receive an automatic
-#: ``_per_s`` companion.
-#: Schema 5 adds the ``atlas_query`` workload (O(1) atlas lookups vs
-#: exact ``best_strategy`` evaluation, with an exact-agreement check
-#: and a queries/s speedup floor).
-#: Schema 6 adds the ``hier_strategies`` workload: the full registry —
-#: paper set plus the hierarchy-aware families — swept on the
-#: multi-NIC ``frontier_like`` preset, asserting the sweep coster stays
-#: cell-wise bit-identical to the scalar models on *tiered* plans
-#: (tier scales, NIC pinning, persistent channels, SETUP stages).
-#: Schema 7 removes the batched-DES workload with the SoA batch
-#: kernel it measured; ``engine`` enforces an absolute events/s floor.
-#: Schema 8 folds ``hop_plan`` and ``sweep_fused`` — both timed the
-#: array walk against the scalar loop once the fused tensors went —
-#: into ``plan_cost``, which enforces an absolute cells/s floor;
-#: ``speedup_vectorized`` and ``speedup_fused`` are gone.
-SCHEMA = 8
 
 #: enforced engine floor, absolute events per CPU-second: about a third
 #: of the smoke value on the reference box (~650k).  CPU time, because
@@ -95,7 +60,7 @@ MIN_ARRAY_CELLS_PER_S = 850_000.0
 #: enforced atlas floor, absolute lookups/s: about a third of the smoke
 #: value on the reference box (~122k).  Not a ratio over exact
 #: ``best_strategy`` — that arm keeps getting faster, which thinned
-#: ``speedup_atlas`` from ~160 to ~66 without the atlas changing.
+#: the ratio from ~160 to ~66 without the atlas changing.
 MIN_ATLAS_QUERIES_PER_S = 40_000.0
 
 
@@ -117,23 +82,6 @@ class WorkloadResult:
     def summary(self) -> str:
         extra = ", ".join(f"{k}={v:,.0f}" for k, v in self.metrics.items())
         return f"{self.name:14s} {self.wall_s * 1e3:9.1f} ms   {extra}"
-
-
-def _find_strategy(label: str):
-    """Strategy implementation by label, with a diagnosable failure.
-
-    A bare ``next(...)`` over the registry raises an opaque
-    ``StopIteration`` when the label is missing; this lookup names the
-    label and every available strategy instead.
-    """
-    from repro.core import all_strategies
-
-    strategies = {s.label: s for s in all_strategies()}
-    if label not in strategies:
-        raise ValueError(
-            f"unknown strategy {label!r}; available: "
-            f"{sorted(strategies)}")
-    return strategies[label]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +138,7 @@ def _pingpong_workload(iterations: int, n_points: int,
 def _spmv_workload(matrix_n: int, reps: int,
                    machine_name: str = "lassen"
                    ) -> Callable[[], Dict[str, float]]:
+    from repro.core import strategy_by_name
     from repro.machine import resolve_machine
     from repro.sparse.distributed import DistributedCSR
     from repro.sparse.suite import SUITE
@@ -200,7 +149,7 @@ def _spmv_workload(matrix_n: int, reps: int,
     matrix = SUITE["audikw_1"].build(matrix_n)
     dist = DistributedCSR(matrix, num_gpus=2 * machine.gpus_per_node)
     v = np.random.default_rng(5).standard_normal(dist.n)
-    strategy = _find_strategy("Standard (staged)")
+    strategy = strategy_by_name("Standard (staged)")
 
     def run() -> Dict[str, float]:
         from repro.mpi.job import SimJob
@@ -218,9 +167,7 @@ def _spmv_workload(matrix_n: int, reps: int,
 
 def _scenario_workload(n_sizes: int,
                        dup_fractions: Tuple[float, ...],
-                       jobs: Optional[int] = None,
                        machine_name: str = "lassen",
-                       policy=None,
                        ) -> Callable[[], Dict[str, float]]:
     def run() -> Dict[str, float]:
         from repro.machine import resolve_machine
@@ -237,8 +184,7 @@ def _scenario_workload(n_sizes: int,
                               dup_fraction=dup)
                      for base in PAPER_SCENARIOS
                      for dup in dup_fractions]
-        swept = sweep_scenarios(machine, scenarios, sizes, jobs=jobs,
-                                policy=policy)
+        swept = sweep_scenarios(machine, scenarios, sizes)
         evals = sum(len(out) * n_sizes for out in swept)
         return {"evals": evals}
 
@@ -313,63 +259,6 @@ def _plan_cost_workload(n_sizes: int, dup_fractions: Tuple[float, ...],
     return run
 
 
-def _hier_strategies_workload(n_sizes: int,
-                              machine_name: str = "frontier_like"
-                              ) -> Callable[[], Dict[str, float]]:
-    """Extended-family sweep on a tiered multi-NIC machine.
-
-    Evaluates the *full* registry — paper set plus the hierarchy-aware
-    families (3-Step H, Neighbor P, ML 3-Step) — on the multi-NIC
-    ``frontier_like`` preset, where the extended plans carry tier
-    indices, ``nics_used`` port pinning, pre-posted persistent channels
-    and amortized SETUP stages.  The array walk must stay cell-wise
-    **bit-identical** to the scalar models on those tiered plans (the
-    flat-degenerate identity is pinned by goldens; this guards tier
-    scaling and NIC pinning under the array algebra), asserted on every
-    suite run.
-    """
-
-    def run() -> Dict[str, float]:
-        from repro.machine import resolve_machine
-        from repro.models.scenarios import (
-            PAPER_SCENARIOS,
-            fused_scenario_times,
-            scenario_summary,
-        )
-        from repro.models.strategies import all_strategy_models
-
-        machine = resolve_machine(machine_name)
-        sizes = np.logspace(0, 7, n_sizes)
-        models = all_strategy_models(machine, include_best_case=False,
-                                     include_extended=True)
-
-        t0 = time.perf_counter()
-        _labels, fused = fused_scenario_times(machine, PAPER_SCENARIOS,
-                                              sizes, models)
-        t_fused = time.perf_counter() - t0
-
-        scalar = np.empty_like(fused)
-        for c, scenario in enumerate(PAPER_SCENARIOS):
-            summaries = [scenario_summary(machine, scenario, float(s))
-                         for s in sizes]
-            for i, model in enumerate(models):
-                scalar[i, c] = [model.time(s) for s in summaries]
-
-        if not np.array_equal(fused, scalar):
-            bad = int(np.count_nonzero(fused != scalar))
-            raise AssertionError(
-                f"array walk diverged from scalar models on tiered "
-                f"plans in {bad} of {fused.size} cells")
-        cells = fused.size
-        return {
-            "cells": float(cells),
-            "models": float(len(models)),
-            "fused_cells_per_s": cells / t_fused,
-        }
-
-    return run
-
-
 def _atlas_query_workload(smoke: bool, rounds: int,
                           machine_name: str = "lassen",
                           min_queries_per_s: float = MIN_ATLAS_QUERIES_PER_S
@@ -378,7 +267,7 @@ def _atlas_query_workload(smoke: bool, rounds: int,
 
     The atlas is built once at workload construction — it is the
     *offline* artifact, so its cost never lands in the timed region.
-    The atlas arm answers every grid point ``rounds`` times through
+    The timed atlas arm answers every grid point ``rounds`` times through
     :meth:`~repro.atlas.index.AtlasIndex.lookup`; the exact arm answers
     each point once through :func:`~repro.models.scenarios.
     best_strategy` (which rebuilds the model registry and walks every
@@ -386,8 +275,7 @@ def _atlas_query_workload(smoke: bool, rounds: int,
     two winner sequences must agree exactly on every grid point, every
     lookup must be served from the atlas (no fallbacks on-grid), and
     the atlas arm must clear the absolute ``min_queries_per_s`` floor,
-    enforced on every suite run; ``speedup_atlas`` (the ratio over the
-    exact arm) is reported as a wiring check only.
+    enforced on every suite run.
     """
     from repro.atlas import build_atlas, default_grid
     from repro.machine import resolve_machine
@@ -410,11 +298,8 @@ def _atlas_query_workload(smoke: bool, rounds: int,
                              for sc, size in queries]
         t_atlas_q = (time.perf_counter() - t0) / (rounds * len(queries))
 
-        t0 = time.perf_counter()
         exact_winners = [best_strategy(machine, sc, size)
                          for sc, size in queries]
-        t_exact_q = (time.perf_counter() - t0) / len(queries)
-
         if atlas_winners != exact_winners:
             bad = sum(a != e for a, e in zip(atlas_winners, exact_winners))
             raise AssertionError(
@@ -428,120 +313,22 @@ def _atlas_query_workload(smoke: bool, rounds: int,
         if 1.0 / t_atlas_q < min_queries_per_s:
             raise AssertionError(
                 f"atlas lookups at {1.0 / t_atlas_q:,.0f} queries/s, below "
-                f"the {min_queries_per_s:,.0f} floor "
-                f"(exact arm: {1.0 / t_exact_q:,.0f} queries/s)")
+                f"the {min_queries_per_s:,.0f} floor")
         return {
             "queries": float(rounds * len(queries)),
             "atlas_queries_per_s": 1.0 / t_atlas_q,
-            "speedup_atlas": t_exact_q / t_atlas_q,
         }
 
     return run
 
 
-def _sweep_parallel_workload(par_jobs: int, machine_name: str = "lassen"
-                             ) -> Callable[[], Dict[str, float]]:
-    """Chaos-smoke sweep: serial vs ``par_jobs`` workers vs warm cache.
-
-    Measures the sweep executor end to end on a real workload and
-    asserts all three reports are byte-identical before reporting
-    ``speedup_parallel`` (cold, ``--jobs par_jobs``) and
-    ``speedup_cached`` (warm on-disk cache) over the serial baseline.
-    On an N-core host the parallel speedup approaches
-    ``min(par_jobs, N)``; the cached speedup is core-independent.
-    Both ratios fall when the serial sweep gets faster, so the serial
-    arm's absolute ``serial_cells_per_s`` is reported beside them.
-    """
-
-    def run() -> Dict[str, float]:
-        import shutil
-        import tempfile
-
-        from repro.faults.chaos import run_chaos
-        from repro.par.cache import ResultCache
-
-        t0 = time.perf_counter()
-        base = run_chaos(seed=0, smoke=True, jobs=1, machine=machine_name)
-        t_serial = time.perf_counter() - t0
-
-        tmpdir = tempfile.mkdtemp(prefix="repro-sweep-bench-")
-        try:
-            t0 = time.perf_counter()
-            cold = run_chaos(seed=0, smoke=True, jobs=par_jobs,
-                             cache=ResultCache(directory=tmpdir),
-                             machine=machine_name)
-            t_parallel = time.perf_counter() - t0
-
-            warm_cache = ResultCache(directory=tmpdir)
-            t0 = time.perf_counter()
-            warm = run_chaos(seed=0, smoke=True, jobs=par_jobs,
-                             cache=warm_cache, machine=machine_name)
-            t_warm = time.perf_counter() - t0
-        finally:
-            shutil.rmtree(tmpdir, ignore_errors=True)
-
-        if cold != base or warm != base:
-            raise AssertionError(
-                "parallel/cached chaos reports diverged from serial")
-        if warm_cache.misses:
-            raise AssertionError(
-                f"warm cache re-ran {warm_cache.misses} shards")
-        return {
-            "shards": float(base["summary"]["runs"]),
-            "jobs": float(par_jobs),
-            "serial_cells_per_s": base["summary"]["runs"] / t_serial,
-            "speedup_parallel": t_serial / t_parallel,
-            "speedup_cached": t_serial / t_warm,
-        }
-
-    return run
-
-
-def _obs_overhead_workload(nodes: int, block: int, reps: int,
-                           machine_name: str = "lassen"
-                           ) -> Callable[[], Dict[str, float]]:
-    from repro.core import CommPattern
-    from repro.machine import resolve_machine
-
-    # Pattern construction is input, not simulator — build it once.
-    machine = resolve_machine(machine_name)
-    num_gpus = nodes * machine.gpus_per_node
-    sends = {
-        s: {d: np.arange(block) for d in range(num_gpus) if d != s}
-        for s in range(num_gpus)
-    }
-    pattern = CommPattern(num_gpus, sends)
-
-    def run() -> Dict[str, float]:
-        from repro.core import run_exchange, strategy_by_name
-        from repro.mpi.job import SimJob
-
-        # Default NullTracer: the untraced hot path must stay flat.
-        strategy = strategy_by_name("Standard (staged)")
-        job = SimJob(machine, num_nodes=nodes,
-                     ppn=min(machine.cores_per_node, 40))
-        msgs = 0
-        for _ in range(reps):
-            msgs += run_exchange(job, strategy, pattern).total_messages
-        return {"messages": msgs}
-
-    return run
-
-
-def default_workloads(smoke: bool = False, jobs: Optional[int] = None,
-                      machine: str = "lassen", policy=None,
+def default_workloads(smoke: bool = False, machine: str = "lassen",
                       ) -> List[Tuple[str, Callable[[], Dict[str, float]], int]]:
     """(name, workload, repeats) triples for the standard suite.
 
-    ``jobs`` is threaded into the parallel-capable workloads; the
-    ``sweep_parallel`` comparison arm uses ``jobs`` when it implies real
-    fan-out, else 4 workers.  ``machine`` names the preset every
-    machine-dependent workload runs on (resolved lazily per workload).
-    ``policy`` (a :class:`repro.par.SweepPolicy`) runs the sweep-shaped
-    ``scenarios`` workload under supervised execution, so its measured
-    wall clock includes the supervision overhead.
+    ``machine`` names the preset every machine-dependent workload runs
+    on (resolved lazily per workload).
     """
-    par_jobs = jobs if jobs is not None and jobs > 1 else 4
     if smoke:
         return [
             ("engine", _engine_workload(procs=20, timeouts=100), 1),
@@ -549,18 +336,12 @@ def default_workloads(smoke: bool = False, jobs: Optional[int] = None,
                                             machine_name=machine), 1),
             ("spmv", _spmv_workload(matrix_n=1000, reps=1,
                                     machine_name=machine), 1),
-            ("scenarios", _scenario_workload(16, (0.0,), jobs=jobs,
-                                             machine_name=machine,
-                                             policy=policy), 1),
+            ("scenarios", _scenario_workload(16, (0.0,),
+                                             machine_name=machine), 1),
             ("plan_cost", _plan_cost_workload(32, (0.0, 0.25),
                                               machine_name=machine), 1),
-            ("hier_strategies", _hier_strategies_workload(16), 1),
             ("atlas_query", _atlas_query_workload(smoke=True, rounds=20,
                                                   machine_name=machine), 1),
-            ("obs_overhead", _obs_overhead_workload(nodes=2, block=32, reps=1,
-                                                    machine_name=machine), 1),
-            ("sweep_parallel", _sweep_parallel_workload(
-                par_jobs, machine_name=machine), 1),
         ]
     return [
         ("engine", _engine_workload(procs=200, timeouts=500), 3),
@@ -568,18 +349,12 @@ def default_workloads(smoke: bool = False, jobs: Optional[int] = None,
                                         machine_name=machine), 3),
         ("spmv", _spmv_workload(matrix_n=4000, reps=3,
                                 machine_name=machine), 3),
-        ("scenarios", _scenario_workload(64, (0.0, 0.25), jobs=jobs,
-                                         machine_name=machine,
-                                         policy=policy), 3),
+        ("scenarios", _scenario_workload(64, (0.0, 0.25),
+                                         machine_name=machine), 3),
         ("plan_cost", _plan_cost_workload(64, (0.0, 0.25),
                                           machine_name=machine), 3),
-        ("hier_strategies", _hier_strategies_workload(48), 3),
         ("atlas_query", _atlas_query_workload(smoke=False, rounds=5,
                                               machine_name=machine), 3),
-        ("obs_overhead", _obs_overhead_workload(nodes=4, block=256, reps=3,
-                                                machine_name=machine), 3),
-        ("sweep_parallel", _sweep_parallel_workload(
-            par_jobs, machine_name=machine), 2),
     ]
 
 
@@ -587,30 +362,28 @@ def default_workloads(smoke: bool = False, jobs: Optional[int] = None,
 # Harness
 # ---------------------------------------------------------------------------
 def run_suite(smoke: bool = False, verbose: bool = True,
-              repeats: Optional[int] = None, jobs: Optional[int] = None,
-              machine: str = "lassen",
-              only: Optional[List[str]] = None,
-              policy=None) -> List[WorkloadResult]:
+              repeats: Optional[int] = None, machine: str = "lassen",
+              only: Optional[List[str]] = None) -> List[WorkloadResult]:
     """Run the suite; ``wall_s`` is best-of-repeats, plus the median.
 
     ``repeats`` overrides every workload's default repeat count (more
-    repeats tighten the min/median against scheduler noise); ``jobs``
-    is forwarded to parallel-capable workloads; ``machine`` picks the
-    preset the machine-dependent workloads model; ``only`` restricts
-    the run to the named workloads (suite order is kept); ``policy``
-    runs the sweep-shaped workloads under supervised execution.
+    repeats tighten the min/median against scheduler noise); ``machine``
+    picks the preset the machine-dependent workloads model; ``only``
+    restricts the run to the named workloads (suite order is kept) and
+    must name at least one.  A workload whose floor or identity check
+    fails raises :class:`AssertionError`.
     """
     if repeats is not None and repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    workloads = default_workloads(smoke=smoke, jobs=jobs, machine=machine,
-                                  policy=policy)
+    workloads = default_workloads(smoke=smoke, machine=machine)
     if only is not None:
         known = {name for name, _fn, _reps in workloads}
         unknown = [name for name in only if name not in known]
-        if unknown:
+        if unknown or not only:
+            what = (f"unknown workload(s) {unknown}" if unknown
+                    else "no workload named")
             raise UnknownWorkloadError(
-                f"unknown workload(s) {unknown}; available: "
-                f"{sorted(known)}")
+                f"{what}; available: {sorted(known)}")
         wanted = set(only)
         workloads = [w for w in workloads if w[0] in wanted]
     results: List[WorkloadResult] = []
@@ -624,10 +397,9 @@ def run_suite(smoke: bool = False, verbose: bool = True,
             walls.append(time.perf_counter() - t0)
         best = min(walls)
         for key, value in list(metrics.items()):
-            # ratios, configuration values and explicit rates get no
-            # per-second companion — only volume-like counts do
-            if ("speedup" not in key and key != "jobs"
-                    and not key.endswith("_per_s")):
+            # explicit rates get no per-second companion — only
+            # volume-like counts do
+            if not key.endswith("_per_s"):
                 metrics[f"{key}_per_s"] = value / best if best > 0 else 0.0
         result = WorkloadResult(name=name, wall_s=best, repeats=reps,
                                 wall_median_s=statistics.median(walls),
@@ -641,41 +413,21 @@ def run_suite(smoke: bool = False, verbose: bool = True,
     return results
 
 
-def write_report(results: List[WorkloadResult], path: str,
-                 smoke: bool = False,
-                 machine: str = "lassen") -> Dict[str, object]:
-    """Serialize suite results to ``path`` (BENCH_repro.json schema)."""
-    report: Dict[str, object] = {
-        "suite": "repro.perf",
-        "schema": SCHEMA,
-        "smoke": smoke,
-        "machine": machine,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "total_wall_s": sum(r.wall_s for r in results),
-        "workloads": [asdict(r) for r in results],
-    }
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-    return report
-
-
 def write_perf_ledger(ledger, results: List[WorkloadResult]) -> None:
     """Emit suite results into a :class:`repro.obs.RunLedger`.
 
     One ``workload`` record per suite entry.  Volume counts (events,
-    messages, evals, cells, shards) are pure functions of the workload
+    messages, evals, cells, queries) are pure functions of the workload
     configuration and go in the deterministic section; measured wall
-    clocks, every ``*_per_s`` rate, speedup ratios and the worker count
-    are execution-shape facts and land in the ``wall`` envelope.
+    clocks and every ``*_per_s`` rate are execution-shape facts and land
+    in the ``wall`` envelope.
     """
     for r in results:
         deterministic: Dict[str, float] = {}
         wall: Dict[str, float] = {"wall_s": r.wall_s,
                                   "wall_median_s": r.wall_median_s}
         for key, value in r.metrics.items():
-            if "per_s" in key or "speedup" in key or key == "jobs":
+            if key.endswith("_per_s"):
                 wall[key] = value
             else:
                 deterministic[key] = value
@@ -683,57 +435,13 @@ def write_perf_ledger(ledger, results: List[WorkloadResult]) -> None:
                      wall=wall, **deterministic)
 
 
-def compare_reports(baseline: Dict[str, object], current: Dict[str, object],
-                    tolerance: float = 0.25) -> List[str]:
-    """Regression messages for workloads slower than ``baseline``.
-
-    Compares ``wall_median_s`` (falling back to ``wall_s`` for schema-1
-    reports) over the workloads both reports contain; a workload
-    regresses when its current median exceeds the baseline median by
-    more than ``tolerance`` (fractional, default 25 % — wide enough for
-    scheduler noise on shared CI runners, tight enough to catch a real
-    hot-path regression).  Reports of different ``schema`` or ``smoke``
-    are not comparable and yield one message saying so.  Returns one
-    human-readable message per regression; an empty list means the gate
-    passes.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-
-    def _by_name(report: Dict[str, object]) -> Dict[str, Dict[str, float]]:
-        return {w["name"]: w for w in report.get("workloads", [])}
-
-    def _wall(workload: Dict[str, float]) -> float:
-        return float(workload.get("wall_median_s") or workload["wall_s"])
-
-    base = _by_name(baseline)
-    cur = _by_name(current)
-    messages: List[str] = []
-    for key in ("schema", "smoke"):
-        # another suite version, or another suite size: comparing the
-        # workload names that happen to intersect would mean nothing
-        if baseline.get(key) != current.get(key):
-            return [f"baseline and current reports differ in {key!r} "
-                    f"(baseline {key}={baseline.get(key)}, current "
-                    f"{key}={current.get(key)}); wall clocks are not "
-                    "comparable"]
-    for name in [n for n in cur if n in base]:
-        b, c = _wall(base[name]), _wall(cur[name])
-        if b > 0 and c > b * (1.0 + tolerance):
-            messages.append(
-                f"{name}: wall_median_s {c:.6f} vs baseline {b:.6f} "
-                f"(+{(c / b - 1.0) * 100:.0f}%, tolerance "
-                f"{tolerance * 100:.0f}%)")
-    return messages
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI body for ``python -m repro perf [--smoke] [--repeats N]
-    [--jobs N] [--only NAMES] [--compare BASELINE.json] [-o OUT.json]``.
+    [--machine M] [--only NAMES] [--ledger PATH]``.
 
-    With ``--compare`` the exit status is the regression gate: 0 when
-    no workload regressed beyond ``--tolerance`` vs the baseline
-    report, 1 otherwise — usable directly from CI or a pre-push hook.
+    Prints the timing table; ``--ledger`` also writes one ``workload``
+    record per workload.  The gate is the workloads' own floors and
+    identities: a miss raises, so the exit status is non-zero.
     """
     import argparse
 
@@ -745,55 +453,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("-r", "--repeats", type=int, default=None,
                         help="override per-workload repeats; min/median "
                              "wall times are reported")
-    parser.add_argument("-j", "--jobs", type=int, default=None,
-                        help="worker processes for parallel-capable "
-                             "workloads (default: $REPRO_JOBS or serial)")
     parser.add_argument("--machine", default="lassen", metavar="PRESET",
                         help="machine preset the workloads model "
                              "(see `python -m repro info`)")
     parser.add_argument("--only", default=None, metavar="NAME[,NAME...]",
                         help="run only the named workloads "
                              "(comma-separated)")
-    parser.add_argument("--compare", default=None, metavar="BASELINE.json",
-                        help="compare against a previous report and exit "
-                             "non-zero on regression")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="fractional wall-clock regression tolerance "
-                             "for --compare (default: %(default)s)")
-    parser.add_argument("-o", "--output", default="BENCH_repro.json",
-                        help="report path (default: %(default)s)")
     parser.add_argument("--ledger", default=None, metavar="PATH",
                         help="write a JSONL run ledger here (consumed by "
                              "`python -m repro obs`)")
-    from repro.par.cliopts import add_supervision_args, supervision_from_args
-
-    add_supervision_args(parser)
     args = parser.parse_args(argv)
-    if args.resume:
-        # Perf workloads are stateless by design (each repeat must do
-        # the full work); there is no sweep to resume.
-        parser.error("--resume is not supported by the perf suite; "
-                     "use --max-retries/--task-timeout for supervision")
-    policy, _journal_dir, _resume = supervision_from_args(args, None)
     from repro.machine import resolve_machine
 
     machine = resolve_machine(args.machine).name  # fail fast, canonical name
-    baseline = None
-    if args.compare is not None:
-        # Load before the (multi-second) run so a bad path fails fast.
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
     only = ([name.strip() for name in args.only.split(",") if name.strip()]
             if args.only is not None else None)
     try:
         results = run_suite(smoke=args.smoke, repeats=args.repeats,
-                            jobs=args.jobs, machine=machine, only=only,
-                            policy=policy)
+                            machine=machine, only=only)
     except UnknownWorkloadError as exc:
         parser.error(str(exc))
-    report = write_report(results, args.output, smoke=args.smoke,
-                          machine=machine)
-    print(f"wrote {args.output}")
     if args.ledger:
         from repro.obs.ledger import RunLedger
 
@@ -804,14 +483,4 @@ def main(argv: Optional[List[str]] = None) -> int:
                            machine=machine)
         write_perf_ledger(ledger, results)
         ledger.finish("ok")
-    if baseline is not None:
-        regressions = compare_reports(baseline, report,
-                                      tolerance=args.tolerance)
-        if regressions:
-            print(f"perf regression vs {args.compare}:")
-            for message in regressions:
-                print(f"  {message}")
-            return 1
-        print(f"no regressions vs {args.compare} "
-              f"(tolerance {args.tolerance:.0%})")
     return 0

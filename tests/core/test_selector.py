@@ -30,8 +30,14 @@ class TestRegistry:
     def test_strategy_by_name(self):
         s = strategy_by_name("3-Step (device-aware)")
         assert s.name == "3-Step" and s.data_path == "device-aware"
-        with pytest.raises(KeyError, match="unknown strategy"):
+        # names the label and every available strategy
+        with pytest.raises(KeyError, match=r"unknown strategy 'bogus'; "
+                                           r"available: .*Standard \(staged\)"):
             strategy_by_name("bogus")
+
+    @pytest.mark.parametrize("label", [s.label for s in all_strategies()])
+    def test_every_label_resolves_to_its_strategy(self, label):
+        assert strategy_by_name(label).label == label
 
 
 class TestPrediction:

@@ -6,11 +6,10 @@ import pytest
 
 from repro.obs.analysis import (
     LedgerSummary,
+    _load_ledger,
     diff_ledgers,
-    diff_perf_reports,
     flame_lines,
     hotspots,
-    load_artifact,
     main as obs_main,
     render_diff,
     render_hotspots,
@@ -68,44 +67,26 @@ class TestHotspots:
         assert "no spans" in render_hotspots([])
 
 
-class TestLoadArtifact:
+class TestLoadLedger:
     def test_ledger(self, chaos_ledgers):
-        kind, records = load_artifact(chaos_ledgers[0])
-        assert kind == "ledger"
+        records = _load_ledger(chaos_ledgers[0])
         assert records[0]["event"] == "run_start"
-
-    def test_perf_report(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"suite": "repro.perf", "schema": 4,
-                                    "workloads": []}))
-        kind, data = load_artifact(str(path))
-        assert kind == "perf"
 
     def test_other_json_object_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"seed": 0}))
-        with pytest.raises(ValueError, match="neither"):
-            load_artifact(str(path))
+        with pytest.raises(ValueError, match="run_start"):
+            _load_ledger(str(path))
 
 
 class TestReport:
     def test_ledger_report_sections(self, chaos_ledgers):
-        kind, records = load_artifact(chaos_ledgers[0])
-        text = render_report(kind, records)
+        text = render_report(read_ledger(chaos_ledgers[0]))
         assert "per-strategy breakdown" in text
         assert "per-phase breakdown" in text
         assert "histograms" in text
         assert "Standard (staged)" in text
         assert "redistribute" in text
-
-    def test_perf_report_text(self):
-        report = {"suite": "repro.perf", "schema": 4, "machine": "lassen",
-                  "smoke": True,
-                  "workloads": [{"name": "engine", "wall_s": 0.01,
-                                 "wall_median_s": 0.012, "repeats": 3,
-                                 "metrics": {}}]}
-        text = render_report("perf", report)
-        assert "engine" in text and "0.0100" in text
 
 
 class TestDiffLedgers:
@@ -141,25 +122,6 @@ class TestDiffLedgers:
         assert diff["movers"] == []
         assert diff["outcome_flips"] == []
         assert diff["same_run_id"]
-
-
-class TestDiffPerf:
-    def _report(self, wall):
-        return {"suite": "repro.perf", "schema": 4, "smoke": True,
-                "workloads": [{"name": "engine", "wall_s": wall,
-                               "wall_median_s": wall, "repeats": 3}]}
-
-    def test_delta_table_and_gate(self):
-        diff = diff_perf_reports(self._report(0.010), self._report(0.020),
-                                 tolerance=0.25)
-        assert diff["deltas"][0]["ratio"] == pytest.approx(2.0)
-        assert diff["regressions"]  # 2x is beyond 25 %
-        assert "REGRESSION" in render_diff(diff)
-
-    def test_within_tolerance_passes(self):
-        diff = diff_perf_reports(self._report(0.010), self._report(0.011),
-                                 tolerance=0.25)
-        assert diff["regressions"] == []
 
 
 class TestFlame:
@@ -200,17 +162,23 @@ class TestObsCli:
         assert structured["movers"]
         assert "phase" in capsys.readouterr().out
 
-    def test_diff_perf_regression_exits_1(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        base = {"suite": "repro.perf", "schema": 4, "smoke": True,
-                "workloads": [{"name": "engine", "wall_s": 0.01,
-                               "wall_median_s": 0.01, "repeats": 1}]}
-        slow = json.loads(json.dumps(base))
-        slow["workloads"][0]["wall_median_s"] = 0.1
-        a.write_text(json.dumps(base))
-        b.write_text(json.dumps(slow))
-        assert obs_main(["diff", str(a), str(b)]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_a_usage_error(self, chaos_ledgers, top,
+                                            capsys):
+        for argv in (["report", chaos_ledgers[0]],
+                     ["diff", chaos_ledgers[0], chaos_ledgers[1]]):
+            with pytest.raises(SystemExit) as exc:
+                obs_main(argv + ["--top", top])
+            assert exc.value.code == 2
+            assert "--top" in capsys.readouterr().err
+
+    def test_diff_has_no_tolerance(self, chaos_ledgers, capsys):
+        # `obs diff` attributes; it does not gate
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["diff", chaos_ledgers[0], chaos_ledgers[1],
+                      "--tolerance", "0.25"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
     def test_flame_to_file(self, chaos_ledgers, tmp_path, capsys):
         out = str(tmp_path / "stacks.txt")
@@ -226,13 +194,6 @@ class TestObsCli:
         assert obs_main(["validate", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "INVALID" in err
-
-    def test_mixed_artifact_diff_rejected(self, chaos_ledgers, tmp_path):
-        perf = tmp_path / "bench.json"
-        perf.write_text(json.dumps({"suite": "repro.perf", "schema": 4,
-                                    "workloads": []}))
-        with pytest.raises(ValueError, match="cannot diff"):
-            obs_main(["diff", chaos_ledgers[0], str(perf)])
 
 
 class TestLedgerSummary:
@@ -271,7 +232,7 @@ class TestRecoverySection:
         assert summary.chunk_retries  # the poison cell was retried
 
     def test_report_renders_the_recovery_section(self, recovery_ledger):
-        text = render_report("ledger", read_ledger(recovery_ledger))
+        text = render_report(read_ledger(recovery_ledger))
         assert "=== recovery ===" in text
         assert "QUARANTINED" in text
         assert "injected raise" in text
@@ -282,4 +243,4 @@ class TestRecoverySection:
         summary = LedgerSummary(records)
         assert summary.recovery is None
         assert summary.quarantined == []
-        assert "=== recovery ===" not in render_report("ledger", records)
+        assert "=== recovery ===" not in render_report(records)

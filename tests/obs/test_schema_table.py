@@ -12,8 +12,7 @@ def test_current_column_matches_the_constants():
     rows = ROW.findall(DOC.read_text())
     assert {f"{module}.{name}" for module, name, _ in rows} == {
         "repro.obs.ledger.LEDGER_SCHEMA", "repro.obs.metrics.SCHEMA",
-        "repro.par.cache.CACHE_SCHEMA", "repro.perf.suite.SCHEMA",
-        "repro.atlas.ATLAS_SCHEMA"}
+        "repro.par.cache.CACHE_SCHEMA", "repro.atlas.ATLAS_SCHEMA"}
     for module, name, current in rows:
         assert getattr(importlib.import_module(module), name) == \
             int(current), f"{module}.{name}"

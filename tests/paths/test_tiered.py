@@ -9,6 +9,7 @@ flat postal model.
 
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ import pytest
 from repro.machine.locality import Locality, TransportKind
 from repro.machine.presets import frontier_like, lassen, resolve_machine
 from repro.models.regime_map import compute_regime_map
-from repro.models.scenarios import Scenario, scenario_summary, sweep_scenario
+from repro.models.scenarios import (
+    PAPER_SCENARIOS,
+    Scenario,
+    scenario_summary,
+    sweep_scenario,
+)
 from repro.models.strategies import all_strategy_models, model_label
 from repro.paths.ir import Hop, HopKind, HopStage, Serialization, StageKind
 from repro.paths.compile import as_setup, off_node_stage
@@ -174,12 +180,15 @@ class TestSetupAmortization:
 class TestFusedTieredIdentity:
     @pytest.mark.parametrize("name", MACHINES)
     @pytest.mark.parametrize("dup", [0.0, 0.25])
-    def test_fused_matches_scalar_for_extended_models(self, name, dup):
+    @pytest.mark.parametrize("base", [
+        Scenario(num_dest_nodes=8, num_messages=256), *PAPER_SCENARIOS],
+        ids=lambda sc: sc.label)
+    def test_fused_matches_scalar_for_extended_models(self, name, dup, base):
         m = resolve_machine(name)
         models = all_strategy_models(m, include_best_case=False,
                                      include_extended=True)
-        sc = Scenario(num_dest_nodes=8, num_messages=256, dup_fraction=dup)
-        sizes = np.logspace(1, 6, 6)
+        sc = replace(base, dup_fraction=dup)
+        sizes = np.logspace(0, 7, 8)
         fused = sweep_scenario(m, sc, sizes, models=models)
         assert len(fused) == 13
         for model in models:
