@@ -16,6 +16,14 @@ Every strategy is a :class:`CommunicationStrategy` with two halves:
 paper's statistic — the maximum per-rank communication time — together
 with every delivered payload; :func:`verify_exchange` asserts bit-exact
 delivery against the pattern's ground truth.
+
+The node-aware strategies are one skeleton with different middles, so
+the steps they share are written here once: :class:`PlanBuilder` (owner
+activation, on-node direct sends, expected lengths) on the set-up side,
+and the :class:`CommunicationStrategy` step methods (device wrapping,
+on-node sends, node-record sends, redistribution, the wait-and-assemble
+tail) plus :func:`host_copies` on the program side.  Each program keeps
+its own phase order, ``yield`` points and ``ctx.phase`` blocks.
 """
 
 from __future__ import annotations
@@ -26,8 +34,17 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.pattern import CommPattern
-from repro.core.records import Record, assemble
+from repro.core.records import (
+    NodeRecord,
+    Record,
+    assemble,
+    expand_node_record,
+    group_by,
+    node_records_nbytes,
+    records_nbytes,
+)
 from repro.machine.topology import JobLayout
+from repro.mpi.buffers import DeviceBuffer
 from repro.mpi.job import JobResult, RankContext, SimJob
 from repro.mpi.transport import TransportStats, register_phase
 
@@ -100,6 +117,83 @@ class CommunicationStrategy:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__}>"
+
+    # -- program steps the strategies share -----------------------------------
+    def _wrap(self, ctx: RankContext, obj, nbytes: int, staged: bool):
+        """Payload for the wire: device-buffer-wrapped on the GPU path."""
+        if staged:
+            return obj
+        gpu = ctx.global_gpu
+        if gpu is None:
+            raise RuntimeError(
+                f"{self.label} requires GPU owner ranks "
+                f"(rank {ctx.rank} owns none)"
+            )
+        return DeviceBuffer(gpu, obj, nbytes=nbytes)
+
+    def _send_local(self, ctx: RankContext, rp: "RankPlan",
+                    data: Sequence[np.ndarray], staged: bool,
+                    send_reqs: list) -> None:
+        """On-node direct messages: one whole record per destination GPU."""
+        for dest_rank, dest_gpu, idx in rp.local_sends:
+            recs = [Record(rp.gpu, dest_gpu, 0, data[rp.gpu][idx])]
+            nbytes = records_nbytes(recs)
+            send_reqs.append(ctx.comm.isend(
+                self._wrap(ctx, recs, nbytes, staged), dest=dest_rank,
+                tag=TAG_LOCAL, nbytes=nbytes))
+
+    def _send_unions(self, ctx: RankContext, rp: "RankPlan",
+                     data: Sequence[np.ndarray], sends, tag: int,
+                     staged: bool, send_reqs: list) -> None:
+        """One node record per ``(dest_rank, dest_node, union idx)``."""
+        for dest_rank, dest_node, union in sends:
+            nrec = NodeRecord(rp.gpu, dest_node, 0, data[rp.gpu][union])
+            send_reqs.append(ctx.comm.isend(
+                self._wrap(ctx, [nrec], nrec.nbytes, staged), dest=dest_rank,
+                tag=tag, nbytes=nrec.nbytes))
+
+    def _forward(self, ctx: RankContext, buckets: Dict[Any, List[NodeRecord]],
+                 targets, tag: int, staged: bool, send_reqs: list) -> None:
+        """Ship each bucket of node records to its target as one message;
+        ``targets`` lists ``(bucket key, dest_rank)`` in send order."""
+        for key, dest_rank in targets:
+            nrecs = buckets.get(key, [])
+            nbytes = node_records_nbytes(nrecs)
+            send_reqs.append(ctx.comm.isend(
+                self._wrap(ctx, nrecs, nbytes, staged), dest=dest_rank,
+                tag=tag, nbytes=nbytes))
+
+    def _deliver(self, ctx: RankContext, records: List[Record],
+                 kept: List[Record], send_reqs: list, staged: bool) -> None:
+        """Redistribute by destination GPU: this rank's records go to
+        ``kept``, every other owner gets one TAG_REDIST message."""
+        for dest_gpu, recs in sorted(group_by(records, "dest_gpu").items()):
+            owner = ctx.layout.owner_of_global_gpu(dest_gpu)
+            if owner == ctx.rank:
+                kept.extend(recs)
+            else:
+                nbytes = records_nbytes(recs)
+                send_reqs.append(ctx.comm.isend(
+                    self._wrap(ctx, recs, nbytes, staged), dest=owner,
+                    tag=TAG_REDIST, nbytes=nbytes))
+
+    def _finish(self, ctx: RankContext, rp: "RankPlan", t0: float,
+                kept: List[Record], local_reqs: list, redist_reqs: list,
+                send_reqs: list, h2d_ops) -> Generator:
+        """Wait for the on-node and redistributed records and for every
+        send, copy the result to the GPU, assemble; returns the rank's
+        ``(elapsed, delivered)``."""
+        local_msgs = yield ctx.comm.waitall(local_reqs)
+        redist_msgs = yield ctx.comm.waitall(redist_reqs)
+        yield ctx.comm.waitall(send_reqs)
+        yield from host_copies(ctx, rp.gpu, h2d_ops, d2h=False)
+        elapsed = ctx.now - t0
+        delivered = None
+        if rp.expected:
+            records = (kept + flatten_messages(local_msgs)
+                       + flatten_messages(redist_msgs))
+            delivered = assemble(records, rp.expected, rp.gpu)
+        return elapsed, delivered
 
 
 @dataclass
@@ -235,3 +329,137 @@ def flatten_messages(messages) -> List[Record]:
             payload = payload.data  # DeviceBuffer
         out.extend(payload)
     return out
+
+
+def expand_messages(positions: Dict[Tuple[int, int], Dict[int, np.ndarray]],
+                    messages) -> List[Record]:
+    """Fan delivered union-stream node records out into per-GPU records."""
+    expanded: List[Record] = []
+    for nrec in flatten_messages(messages):
+        expanded.extend(expand_node_record(
+            nrec, positions[(nrec.src_gpu, nrec.dest_node)]))
+    return expanded
+
+
+def whole_copy(nbytes: int, staged: bool) -> List[Tuple[int, int, int]]:
+    """The copy ops of one whole-buffer host staging copy (none on the
+    device path or for nothing to copy)."""
+    return [(nbytes, 1, nbytes)] if staged and nbytes else []
+
+
+def host_copies(ctx: RankContext, gpu: int, ops, d2h: bool) -> Generator:
+    """Start a rank's host staging copies together, then wait for each.
+
+    ``ops`` holds ``(slice_bytes, nproc, team_bytes)`` per copy; ``nproc
+    > 1`` is one slice of a duplicate-device-pointer team copy.
+    """
+    gpu = max(gpu, 0)
+    if d2h:
+        events = [ctx.copy.d2h(DeviceBuffer(gpu, nbytes), nproc=nproc,
+                               team_bytes=team)[0]
+                  for nbytes, nproc, team in ops]
+    else:
+        events = [ctx.copy.h2d(nbytes, gpu=gpu, nproc=nproc,
+                               team_bytes=team)[0]
+                  for nbytes, nproc, team in ops]
+    for ev in events:
+        yield ev
+
+
+# ---------------------------------------------------------------------------
+# Shared plan steps
+# ---------------------------------------------------------------------------
+@dataclass
+class RankPlan:
+    """One rank's share of an exchange; each strategy adds its duties."""
+
+    gpu: int = -1
+    #: on-node direct messages: (dest_rank, dest_gpu, idx)
+    local_sends: List[Tuple[int, int, np.ndarray]] = field(default_factory=list)
+    n_local_recv: int = 0
+    n_inter_recv: int = 0
+    n_redist_recv: int = 0
+    #: bytes leaving / reaching this rank's GPU (the staged copies)
+    send_bytes: int = 0
+    recv_bytes: int = 0
+    #: src_gpu -> element count this rank's GPU assembles
+    expected: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def idle(self) -> bool:
+        """Nothing to send, receive or assemble (owning a GPU is no work)."""
+        return not any(value for name, value in vars(self).items()
+                       if name != "gpu")
+
+
+@dataclass
+class NodePlan:
+    by_rank: Dict[int, RankPlan]
+    #: (src_gpu, dest_node) -> {dest_gpu: positions in the union stream}
+    positions: Dict[Tuple[int, int], Dict[int, np.ndarray]]
+    itemsize: int
+
+
+class PlanBuilder:
+    """The set-up steps every node-aware plan shares.
+
+    Construction resolves the pattern's node map and deduplicated unions
+    and activates the owner rank of every GPU with traffic; the
+    strategy's builder then adds its own duties through :meth:`rank`.
+    """
+
+    def __init__(self, pattern: CommPattern, layout: JobLayout,
+                 rank_plan: type) -> None:
+        self.pattern = pattern
+        self.layout = layout
+        self.node_of = pattern.node_of_gpu(layout)
+        #: (src_gpu, dest_node) -> (union idx, {dest_gpu: positions})
+        self.dedup = pattern.node_dedup(layout)
+        self.positions = {key: pos for key, (_u, pos) in self.dedup.items()}
+        self.by_rank: Dict[int, RankPlan] = {}
+        self._rank_plan = rank_plan
+        for gpu in range(pattern.num_gpus):
+            if pattern.sends_of(gpu) or pattern.recvs_of(gpu):
+                self.rank(layout.owner_of_global_gpu(gpu), gpu)
+
+    def rank(self, rank: int, gpu: int = -1) -> RankPlan:
+        """``rank``'s plan, created on first use (``gpu``: the GPU it owns)."""
+        rp = self.by_rank.get(rank)
+        if rp is None:
+            rp = self.by_rank[rank] = self._rank_plan()
+        if gpu >= 0:
+            rp.gpu = gpu
+        return rp
+
+    def plan_local_sends(self) -> None:
+        """On-node messages bypass the node-aware scheme and go direct."""
+        pattern, layout, node_of = self.pattern, self.layout, self.node_of
+        for gpu in range(pattern.num_gpus):
+            rp = self.rank(layout.owner_of_global_gpu(gpu), gpu)
+            for dest, idx in sorted(pattern.sends_of(gpu).items()):
+                if node_of[dest] == node_of[gpu]:
+                    dest_rank = layout.owner_of_global_gpu(dest)
+                    rp.local_sends.append((dest_rank, dest, idx))
+                    self.rank(dest_rank, dest).n_local_recv += 1
+                    rp.send_bytes += len(idx) * pattern.itemsize
+
+    def plan_receivers(self) -> List[Tuple[int, int, RankPlan]]:
+        """Record what every receiving GPU assembles; returns its
+        ``(gpu, owner rank, plan)`` triples for the redistribution counts."""
+        pattern, layout = self.pattern, self.layout
+        out = []
+        for gpu in range(pattern.num_gpus):
+            recvs = pattern.expected_recv_lengths(gpu)
+            if recvs:
+                rank = layout.owner_of_global_gpu(gpu)
+                rp = self.rank(rank, gpu)
+                rp.expected = recvs
+                rp.recv_bytes = sum(recvs.values()) * pattern.itemsize
+                out.append((gpu, rank, rp))
+        return out
+
+    def node_plan(self, plan_type: type = NodePlan, **extra) -> NodePlan:
+        """The finished plan over the ranks with work."""
+        by_rank = {r: p for r, p in self.by_rank.items() if not p.idle}
+        return plan_type(by_rank=by_rank, positions=self.positions,
+                         itemsize=self.pattern.itemsize, **extra)

@@ -40,21 +40,18 @@ from repro.core.base import (
     TAG_SGATHER,
     TAG_SREDIST,
     CommunicationStrategy,
+    NodePlan,
+    PlanBuilder,
+    RankPlan,
+    expand_messages,
     flatten_messages,
+    host_copies,
+    whole_copy,
 )
 from repro.core.pattern import CommPattern
-from repro.core.records import (
-    NodeRecord,
-    Record,
-    assemble,
-    expand_node_record,
-    group_by,
-    node_records_nbytes,
-    records_nbytes,
-)
+from repro.core.records import NodeRecord, Record, group_by, records_nbytes
 from repro.core.three_step import pair_receiver, pair_sender
 from repro.machine.topology import JobLayout
-from repro.mpi.buffers import DeviceBuffer
 from repro.mpi.job import RankContext
 
 
@@ -77,10 +74,7 @@ def redist_leader(layout: JobLayout, receiver: int, socket: int) -> int:
 
 
 @dataclass
-class _RankPlan:
-    gpu: int = -1
-    local_sends: List[Tuple[int, int, np.ndarray]] = field(default_factory=list)
-    n_local_recv: int = 0
+class _RankPlan(RankPlan):
     #: contributor -> socket leader: (leader_rank, dest_node, union idx)
     sgather_sends: List[Tuple[int, int, np.ndarray]] = field(default_factory=list)
     #: unions this rank keeps because it leads its socket for dest_node
@@ -89,68 +83,25 @@ class _RankPlan:
     lead: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     #: as pair sender: dest_node -> (recv rank, # TAG_GATHER leader msgs)
     forward: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    n_inter_recv: int = 0
     #: as pair receiver: sockets to fan out to (socket -> RL rank)
     scatter_to: Dict[int, int] = field(default_factory=dict)
     #: as redistribution leader: # TAG_SREDIST msgs expected
     n_sredist_recv: int = 0
-    n_redist_recv: int = 0
-    send_bytes: int = 0
-    recv_bytes: int = 0
-    expected: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def idle(self) -> bool:
-        return not (self.local_sends or self.n_local_recv
-                    or self.sgather_sends or self.leader_own or self.lead
-                    or self.forward or self.n_inter_recv or self.scatter_to
-                    or self.n_sredist_recv or self.n_redist_recv
-                    or self.expected)
 
 
-@dataclass
-class _Plan:
-    by_rank: Dict[int, _RankPlan]
-    positions: Dict[Tuple[int, int], Dict[int, np.ndarray]]
-    itemsize: int
-
-
-def _build_plan(pattern: CommPattern, layout: JobLayout) -> _Plan:
-    node_of = pattern.node_of_gpu(layout)
-    gps = layout.machine.gpus_per_socket
-    by_rank: Dict[int, _RankPlan] = {}
-    dedup = pattern.node_dedup(layout)
-    positions = {key: pos for key, (_u, pos) in dedup.items()}
-
-    def rank_plan(rank: int, gpu: int = -1) -> _RankPlan:
-        rp = by_rank.setdefault(rank, _RankPlan())
-        if gpu >= 0:
-            rp.gpu = gpu
-        return rp
-
-    for gpu in range(pattern.num_gpus):
-        if pattern.sends_of(gpu) or pattern.recvs_of(gpu):
-            rank_plan(layout.owner_of_global_gpu(gpu), gpu)
-
-    # Local direct messages.
-    for gpu in range(pattern.num_gpus):
-        src_rank = layout.owner_of_global_gpu(gpu)
-        rp = rank_plan(src_rank, gpu)
-        for dest, idx in sorted(pattern.sends_of(gpu).items()):
-            if node_of[dest] == node_of[gpu]:
-                dest_rank = layout.owner_of_global_gpu(dest)
-                rp.local_sends.append((dest_rank, dest, idx))
-                rank_plan(dest_rank, dest).n_local_recv += 1
-                rp.send_bytes += len(idx) * pattern.itemsize
+def _build_plan(pattern: CommPattern, layout: JobLayout) -> NodePlan:
+    b = PlanBuilder(pattern, layout, _RankPlan)
+    node_of = b.node_of
+    b.plan_local_sends()
 
     # Socket-level gather structure.
     #   contributors[(node, socket, dest_node)] = {contributor ranks}
     contributors: Dict[Tuple[int, int, int], Set[int]] = {}
-    for (src_gpu, dest_node), (union, _pos) in sorted(dedup.items()):
+    for (src_gpu, dest_node), (union, _pos) in sorted(b.dedup.items()):
         src_rank = layout.owner_of_global_gpu(src_gpu)
         src_node = node_of[src_gpu]
         socket = layout.socket_of(src_rank)
-        rp = rank_plan(src_rank, src_gpu)
+        rp = b.rank(src_rank, src_gpu)
         rp.send_bytes += len(union) * pattern.itemsize
         leader = socket_leader(layout, src_node, socket, dest_node)
         if leader == src_rank:
@@ -167,38 +118,27 @@ def _build_plan(pattern: CommPattern, layout: JobLayout) -> _Plan:
         leader = socket_leader(layout, node, socket, dest_node)
         sender = pair_sender(layout, node, dest_node)
         n_msgs = len(who - {leader})
-        rank_plan(leader).lead[dest_node] = (n_msgs, sender)
+        b.rank(leader).lead[dest_node] = (n_msgs, sender)
         node_dests.setdefault((node, dest_node), set()).add(socket)
 
     for (node, dest_node), sockets in sorted(node_dests.items()):
         sender = pair_sender(layout, node, dest_node)
         receiver = pair_receiver(layout, node, dest_node)
-        sender_socket = layout.socket_of(sender)
         # Leaders on other sockets forward one TAG_GATHER message each;
         # if the sender's own socket has contributors, its leader IS a
         # separate rank only when round-robin picked someone else.
-        n_leader_msgs = 0
-        for socket in sockets:
-            leader = socket_leader(layout, node, socket, dest_node)
-            if leader != sender:
-                n_leader_msgs += 1
-        rank_plan(sender).forward[dest_node] = (receiver, n_leader_msgs)
-        rank_plan(receiver).n_inter_recv += 1
+        n_leader_msgs = sum(
+            1 for socket in sockets
+            if socket_leader(layout, node, socket, dest_node) != sender)
+        b.rank(sender).forward[dest_node] = (receiver, n_leader_msgs)
+        b.rank(receiver).n_inter_recv += 1
 
-    # Receive side: scatter duties and final expectations.
-    #   recv_sockets[(origin_node, dest_node)] = {sockets receiving data}
-    for gpu in range(pattern.num_gpus):
-        recvs = pattern.expected_recv_lengths(gpu)
-        if not recvs:
-            continue
-        rank = layout.owner_of_global_gpu(gpu)
-        rp = rank_plan(rank, gpu)
-        rp.expected = recvs
-        rp.recv_bytes = sum(recvs.values()) * pattern.itemsize
+    # Receive side: final expectations, then scatter duties.
+    b.plan_receivers()
 
     # For every (origin node k, dest node l): receiver R(k,l) scatters.
     pair_traffic: Dict[Tuple[int, int], Set[int]] = {}
-    for (src_gpu, dest_node), (_u, pos) in dedup.items():
+    for (src_gpu, dest_node), (_u, pos) in b.dedup.items():
         for dest_gpu in pos:
             pair_traffic.setdefault((node_of[src_gpu], dest_node),
                                     set()).add(dest_gpu)
@@ -210,7 +150,7 @@ def _build_plan(pattern: CommPattern, layout: JobLayout) -> _Plan:
     for (origin, dest_node), dest_gpus in sorted(pair_traffic.items()):
         receiver = pair_receiver(layout, origin, dest_node)
         r_socket = layout.socket_of(receiver)
-        rrp = rank_plan(receiver)
+        rrp = b.rank(receiver)
         for dest_gpu in dest_gpus:
             owner = layout.owner_of_global_gpu(dest_gpu)
             socket = layout.socket_of(owner)
@@ -221,17 +161,15 @@ def _build_plan(pattern: CommPattern, layout: JobLayout) -> _Plan:
                 rl = redist_leader(layout, receiver, socket)
                 if socket not in rrp.scatter_to:
                     rrp.scatter_to[socket] = rl
-                    rank_plan(rl).n_sredist_recv += 1
+                    b.rank(rl).n_sredist_recv += 1
                 redist_senders.setdefault(dest_gpu, set()).add((rl, "lead"))
 
     for dest_gpu, senders in redist_senders.items():
         owner = layout.owner_of_global_gpu(dest_gpu)
         n = sum(1 for rank, _role in senders if rank != owner)
-        rank_plan(owner, dest_gpu).n_redist_recv = n
+        b.rank(owner, dest_gpu).n_redist_recv = n
 
-    by_rank = {r: p for r, p in by_rank.items() if not p.idle}
-    return _Plan(by_rank=by_rank, positions=positions,
-                 itemsize=pattern.itemsize)
+    return b.node_plan()
 
 
 class _HierarchicalBase(CommunicationStrategy):
@@ -240,21 +178,10 @@ class _HierarchicalBase(CommunicationStrategy):
                     "socket-redistribute", "redistribute",
                     "on-node direct")
 
-    def plan(self, pattern: CommPattern, layout: JobLayout) -> _Plan:
+    def plan(self, pattern: CommPattern, layout: JobLayout) -> NodePlan:
         return _build_plan(pattern, layout)
 
-    def _wrap(self, ctx: RankContext, obj, nbytes: int, staged: bool):
-        if staged:
-            return obj
-        gpu = ctx.global_gpu
-        if gpu is None:
-            raise RuntimeError(
-                f"device-aware hierarchical 3-Step requires GPU owners "
-                f"(rank {ctx.rank} owns none)"
-            )
-        return DeviceBuffer(gpu, obj, nbytes=nbytes)
-
-    def program(self, ctx: RankContext, plan: _Plan,
+    def program(self, ctx: RankContext, plan: NodePlan,
                 data: Sequence[np.ndarray]) -> Generator:
         rp = plan.by_rank.get(ctx.rank)
         if rp is None:
@@ -262,10 +189,8 @@ class _HierarchicalBase(CommunicationStrategy):
             yield  # pragma: no cover
         t0 = ctx.now
         staged = self.effective_staged(ctx)
-
-        if staged and rp.send_bytes:
-            ev, _ = ctx.copy.d2h(DeviceBuffer(rp.gpu, rp.send_bytes))
-            yield ev
+        yield from host_copies(ctx, rp.gpu, whole_copy(rp.send_bytes, staged),
+                               d2h=True)
 
         local_reqs = [ctx.comm.irecv(tag=TAG_LOCAL)
                       for _ in range(rp.n_local_recv)]
@@ -281,27 +206,18 @@ class _HierarchicalBase(CommunicationStrategy):
                         for _ in range(rp.n_sredist_recv)]
         redist_reqs = [ctx.comm.irecv(tag=TAG_REDIST)
                        for _ in range(rp.n_redist_recv)]
-        send_reqs = []
+        send_reqs: list = []
 
         # Phase 0: on-node direct messages.
-        for dest_rank, dest_gpu, idx in rp.local_sends:
-            recs = [Record(rp.gpu, dest_gpu, 0, data[rp.gpu][idx])]
-            nbytes = records_nbytes(recs)
-            send_reqs.append(ctx.comm.isend(self._wrap(ctx, recs, nbytes, staged),
-                                            dest=dest_rank, tag=TAG_LOCAL,
-                                            nbytes=nbytes))
+        self._send_local(ctx, rp, data, staged, send_reqs)
 
         # Phase 1: intra-socket gather to the socket leaders.
         with ctx.phase("socket-gather"):
-            for leader, dest_node, union in rp.sgather_sends:
-                nrec = NodeRecord(rp.gpu, dest_node, 0, data[rp.gpu][union])
-                send_reqs.append(
-                    ctx.comm.isend(self._wrap(ctx, [nrec], nrec.nbytes,
-                                              staged),
-                                   dest=leader, tag=TAG_SGATHER,
-                                   nbytes=nrec.nbytes))
+            self._send_unions(ctx, rp, data, rp.sgather_sends, TAG_SGATHER,
+                              staged, send_reqs)
 
-        # Phase 2: socket leaders forward to the paired sender.
+        # Phase 2: socket leaders forward to the paired sender (a leader
+        # that IS the paired sender keeps its bucket for phase 3).
         leader_buckets: Dict[int, List[NodeRecord]] = {
             node: [NodeRecord(rp.gpu, node, 0, data[rp.gpu][u])
                    for u in unions]
@@ -312,15 +228,11 @@ class _HierarchicalBase(CommunicationStrategy):
                 msgs = yield ctx.comm.waitall(sgather_reqs)
                 for nrec in flatten_messages(msgs):
                     leader_buckets.setdefault(nrec.dest_node, []).append(nrec)
-                for dest_node, (_n, sender) in sorted(rp.lead.items()):
-                    recs = leader_buckets.get(dest_node, [])
-                    if sender == ctx.rank:
-                        continue  # kept; consumed by the forward phase below
-                    nbytes = node_records_nbytes(recs)
-                    send_reqs.append(
-                        ctx.comm.isend(self._wrap(ctx, recs, nbytes, staged),
-                                       dest=sender, tag=TAG_GATHER,
-                                       nbytes=nbytes))
+                self._forward(ctx, leader_buckets,
+                              [(node, sender) for node, (_n, sender)
+                               in sorted(rp.lead.items())
+                               if sender != ctx.rank],
+                              TAG_GATHER, staged, send_reqs)
 
         # Phase 3: paired sender ships one buffer per destination node.
         if rp.forward:
@@ -333,77 +245,46 @@ class _HierarchicalBase(CommunicationStrategy):
                 msgs = yield ctx.comm.waitall(gather_reqs)
                 for nrec in flatten_messages(msgs):
                     buckets.setdefault(nrec.dest_node, []).append(nrec)
-                for dest_node, (recv_rank, _n) in sorted(rp.forward.items()):
-                    recs = buckets.get(dest_node, [])
-                    nbytes = node_records_nbytes(recs)
-                    send_reqs.append(
-                        ctx.comm.isend(self._wrap(ctx, recs, nbytes, staged),
-                                       dest=recv_rank, tag=TAG_INTER,
-                                       nbytes=nbytes))
+                self._forward(ctx, buckets,
+                              [(node, recv_rank) for node, (recv_rank, _n)
+                               in sorted(rp.forward.items())],
+                              TAG_INTER, staged, send_reqs)
 
-        # Phase 4: paired receiver expands and scatters per socket.
+        # Phase 4: paired receiver expands, delivers on its own socket
+        # and sends one combined message per other socket.
         kept: List[Record] = []
         if rp.n_inter_recv:
             with ctx.phase("socket-redistribute"):
                 msgs = yield ctx.comm.waitall(inter_reqs)
-                expanded: List[Record] = []
-                for nrec in flatten_messages(msgs):
-                    pos = plan.positions[(nrec.src_gpu, nrec.dest_node)]
-                    expanded.extend(expand_node_record(nrec, pos))
-                my_socket = ctx.socket
+                own_socket: List[Record] = []
                 per_socket: Dict[int, List[Record]] = {}
-                for dest_gpu, recs in sorted(group_by(expanded,
-                                                      "dest_gpu").items()):
+                for dest_gpu, recs in sorted(group_by(
+                        expand_messages(plan.positions, msgs),
+                        "dest_gpu").items()):
                     owner = ctx.layout.owner_of_global_gpu(dest_gpu)
                     socket = ctx.layout.socket_of(owner)
-                    if socket == my_socket:
-                        if owner == ctx.rank:
-                            kept.extend(recs)
-                        else:
-                            nbytes = records_nbytes(recs)
-                            send_reqs.append(ctx.comm.isend(
-                                self._wrap(ctx, recs, nbytes, staged),
-                                dest=owner, tag=TAG_REDIST, nbytes=nbytes))
+                    if socket == ctx.socket:
+                        own_socket.extend(recs)
                     else:
                         per_socket.setdefault(socket, []).extend(recs)
+                self._deliver(ctx, own_socket, kept, send_reqs, staged)
                 for socket, recs in sorted(per_socket.items()):
-                    rl = rp.scatter_to[socket]
                     nbytes = records_nbytes(recs)
                     send_reqs.append(ctx.comm.isend(
-                        self._wrap(ctx, recs, nbytes, staged), dest=rl,
-                        tag=TAG_SREDIST, nbytes=nbytes))
+                        self._wrap(ctx, recs, nbytes, staged),
+                        dest=rp.scatter_to[socket], tag=TAG_SREDIST,
+                        nbytes=nbytes))
 
         # Phase 5: redistribution leaders deliver to final owners.
         if rp.n_sredist_recv:
             with ctx.phase("redistribute"):
                 msgs = yield ctx.comm.waitall(sredist_reqs)
-                incoming = flatten_messages(msgs)
-                for dest_gpu, recs in sorted(group_by(incoming,
-                                                      "dest_gpu").items()):
-                    owner = ctx.layout.owner_of_global_gpu(dest_gpu)
-                    if owner == ctx.rank:
-                        kept.extend(recs)
-                    else:
-                        nbytes = records_nbytes(recs)
-                        send_reqs.append(ctx.comm.isend(
-                            self._wrap(ctx, recs, nbytes, staged), dest=owner,
-                            tag=TAG_REDIST, nbytes=nbytes))
+                self._deliver(ctx, flatten_messages(msgs), kept, send_reqs,
+                              staged)
 
-        local_msgs = yield ctx.comm.waitall(local_reqs)
-        redist_msgs = yield ctx.comm.waitall(redist_reqs)
-        yield ctx.comm.waitall(send_reqs)
-
-        if staged and rp.recv_bytes:
-            ev, _ = ctx.copy.h2d(rp.recv_bytes, gpu=rp.gpu)
-            yield ev
-
-        elapsed = ctx.now - t0
-        delivered = None
-        if rp.expected:
-            records = (kept + flatten_messages(local_msgs)
-                       + flatten_messages(redist_msgs))
-            delivered = assemble(records, rp.expected, rp.gpu)
-        return elapsed, delivered
+        return (yield from self._finish(ctx, rp, t0, kept, local_reqs,
+                                        redist_reqs, send_reqs,
+                                        whole_copy(rp.recv_bytes, staged)))
 
 
 class ThreeStepHierarchicalStaged(_HierarchicalBase):

@@ -21,122 +21,31 @@ trade: ``L``x more inter-node messages (latency) against ``L``-way NIC
 parallelism and a shallower gather (bandwidth); the regime map decides
 where each side wins.
 
-The DES program body is inherited from 3-Step — only the pairing
-functions (and hence the plan) differ.
+It is 3-Step with a different group size: the DES program and the plan
+builder (:func:`repro.core.three_step._build_plan`) are 3-Step's, called
+with the machine's leader-group size instead of one group per node.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
-
+from repro.core.base import NodePlan
 from repro.core.pattern import CommPattern
-from repro.core.three_step import _Plan, _RankPlan, _ThreeStepBase
+from repro.core.three_step import _build_plan, _leader, _ThreeStepBase
 from repro.machine.topology import JobLayout
-
-
-def _group_span(gpn: int, group_size: int, group: int) -> Tuple[int, int]:
-    """``(base, width)`` of one group's contiguous local-GPU block."""
-    base = group * group_size
-    return base, min(group_size, gpn - base)
 
 
 def group_sender(layout: JobLayout, src_node: int, dest_node: int,
                  group: int) -> int:
     """Rank on ``src_node`` leading ``group``'s sends to ``dest_node``."""
-    machine = layout.machine
-    size, _num = machine.leader_group_geometry
-    base, width = _group_span(machine.gpus_per_node, size, group)
-    return layout.owner_of_gpu(src_node, base + dest_node % width)
+    size, _num = layout.machine.leader_group_geometry
+    return _leader(layout, src_node, dest_node, group, size)
 
 
 def group_receiver(layout: JobLayout, src_node: int, dest_node: int,
                    group: int) -> int:
     """Rank on ``dest_node`` receiving ``group``'s stream from ``src_node``."""
-    machine = layout.machine
-    size, _num = machine.leader_group_geometry
-    base, width = _group_span(machine.gpus_per_node, size, group)
-    return layout.owner_of_gpu(dest_node, base + src_node % width)
-
-
-def _build_ml_plan(pattern: CommPattern, layout: JobLayout) -> _Plan:
-    """Group-aware twin of :func:`repro.core.three_step._build_plan`."""
-    machine = layout.machine
-    gpn = machine.gpus_per_node
-    group_size, _num = machine.leader_group_geometry
-    node_of = pattern.node_of_gpu(layout)
-    by_rank: Dict[int, _RankPlan] = {}
-    dedup = pattern.node_dedup(layout)
-    positions = {key: pos for key, (_u, pos) in dedup.items()}
-
-    def group_of(gpu: int) -> int:
-        return (gpu % gpn) // group_size
-
-    def rank_plan(rank: int, gpu: int = -1) -> _RankPlan:
-        rp = by_rank.setdefault(rank, _RankPlan())
-        if gpu >= 0:
-            rp.gpu = gpu
-        return rp
-
-    for gpu in range(pattern.num_gpus):
-        if pattern.sends_of(gpu) or pattern.recvs_of(gpu):
-            rank_plan(layout.owner_of_global_gpu(gpu), gpu)
-
-    # Local (on-node) direct messages — identical to 3-Step.
-    for gpu in range(pattern.num_gpus):
-        src_rank = layout.owner_of_global_gpu(gpu)
-        src_node = node_of[gpu]
-        rp = rank_plan(src_rank, gpu)
-        for dest, idx in sorted(pattern.sends_of(gpu).items()):
-            if node_of[dest] == src_node:
-                dest_rank = layout.owner_of_global_gpu(dest)
-                rp.local_sends.append((dest_rank, dest, idx))
-                rank_plan(dest_rank, dest).n_local_recv += 1
-                rp.send_bytes += len(idx) * pattern.itemsize
-
-    # Deduplicated gather contributions, routed to the GROUP's sender.
-    contributors: Dict[Tuple[int, int, int], Set[int]] = {}
-    for (src_gpu, dest_node), (union, _pos) in sorted(dedup.items()):
-        src_rank = layout.owner_of_global_gpu(src_gpu)
-        src_node = node_of[src_gpu]
-        group = group_of(src_gpu)
-        rp = rank_plan(src_rank, src_gpu)
-        rp.send_bytes += len(union) * pattern.itemsize
-        sender = group_sender(layout, src_node, dest_node, group)
-        if sender == src_rank:
-            rp.own_contrib[dest_node] = union
-        else:
-            rp.gather_sends.append((sender, dest_node, union))
-        contributors.setdefault((src_node, dest_node, group),
-                                set()).add(src_rank)
-
-    # Forwarding duties: one stream per (node pair, group).
-    for (src_node, dest_node, group), who in sorted(contributors.items()):
-        sender = group_sender(layout, src_node, dest_node, group)
-        receiver = group_receiver(layout, src_node, dest_node, group)
-        rank_plan(sender).forward[dest_node] = (receiver,
-                                                len(who - {sender}))
-        rank_plan(receiver).n_inter_recv += 1
-
-    # Redistribution receive counts + expected assembly lengths.
-    for gpu in range(pattern.num_gpus):
-        recvs = pattern.expected_recv_lengths(gpu)
-        if not recvs:
-            continue
-        rank = layout.owner_of_global_gpu(gpu)
-        rp = rank_plan(rank, gpu)
-        rp.expected = recvs
-        rp.recv_bytes = sum(recvs.values()) * pattern.itemsize
-        # One redistribution message per distinct receiving leader: the
-        # (origin node, group) pair determines the receiver rank.
-        origins = {(node_of[src], group_of(src)) for src in recvs
-                   if node_of[src] != node_of[gpu]}
-        receivers = {group_receiver(layout, k, node_of[gpu], g)
-                     for k, g in origins}
-        rp.n_redist_recv = len(receivers - {rank})
-
-    by_rank = {r: p for r, p in by_rank.items() if not p.idle}
-    return _Plan(by_rank=by_rank, positions=positions,
-                 itemsize=pattern.itemsize)
+    size, _num = layout.machine.leader_group_geometry
+    return _leader(layout, dest_node, src_node, group, size)
 
 
 class MultiLeaderStaged(_ThreeStepBase):
@@ -145,5 +54,6 @@ class MultiLeaderStaged(_ThreeStepBase):
     name = "ML 3-Step"
     data_path = "staged"
 
-    def plan(self, pattern: CommPattern, layout: JobLayout) -> _Plan:
-        return _build_ml_plan(pattern, layout)
+    def plan(self, pattern: CommPattern, layout: JobLayout) -> NodePlan:
+        size, _num = layout.machine.leader_group_geometry
+        return _build_plan(pattern, layout, size)

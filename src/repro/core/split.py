@@ -47,20 +47,15 @@ from repro.core.base import (
     TAG_LOCAL,
     TAG_REDIST,
     CommunicationStrategy,
-    flatten_messages,
+    NodePlan,
+    PlanBuilder,
+    RankPlan,
+    expand_messages,
+    host_copies,
 )
 from repro.core.pattern import CommPattern
-from repro.core.records import (
-    NodeRecord,
-    Record,
-    assemble,
-    expand_node_record,
-    group_by,
-    node_records_nbytes,
-    records_nbytes,
-)
+from repro.core.records import NodeRecord, Record, node_records_nbytes
 from repro.machine.topology import JobLayout
-from repro.mpi.buffers import DeviceBuffer
 from repro.mpi.job import RankContext
 
 #: (src_gpu, dest_node, offset, index slice) — a deduplicated union
@@ -125,10 +120,7 @@ class _Chunk:
 
 
 @dataclass
-class _RankPlan:
-    gpu: int = -1
-    local_sends: List[Tuple[int, int, np.ndarray]] = field(default_factory=list)
-    n_local_recv: int = 0
+class _RankPlan(RankPlan):
     #: D2H operations: (slice_bytes, nproc, team_bytes)
     d2h_ops: List[Tuple[int, int, int]] = field(default_factory=list)
     #: distribution sends: (send_rank, cid, index records)
@@ -138,27 +130,14 @@ class _RankPlan:
     #: own contributions to chunks this rank itself sends
     own_parts: Dict[int, List[IndexRec]] = field(default_factory=dict)
     n_dist_recv: int = 0
-    n_inter_recv: int = 0
-    n_redist_recv: int = 0
     #: H2D operations: (slice_bytes, nproc, team_bytes)
     h2d_ops: List[Tuple[int, int, int]] = field(default_factory=list)
-    expected: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def idle(self) -> bool:
-        return not (self.local_sends or self.n_local_recv or self.d2h_ops
-                    or self.dist_sends or self.send_chunks or self.own_parts
-                    or self.n_dist_recv or self.n_inter_recv
-                    or self.n_redist_recv or self.h2d_ops or self.expected)
 
 
 @dataclass
-class _Plan:
-    by_rank: Dict[int, _RankPlan]
+class _Plan(NodePlan):
     setups: Dict[int, SplitSetup]
     chunks: List[_Chunk]
-    positions: Dict[Tuple[int, int], Dict[int, np.ndarray]]
-    itemsize: int
 
 
 class _SplitBase(CommunicationStrategy):
@@ -187,38 +166,18 @@ class _SplitBase(CommunicationStrategy):
     def plan(self, pattern: CommPattern, layout: JobLayout) -> _Plan:
         cap = self._cap(layout)
         itemsize = pattern.itemsize
-        node_of = pattern.node_of_gpu(layout)
         ppn = layout.ppn
         num_nodes = layout.num_nodes
-        by_rank: Dict[int, _RankPlan] = {}
-        dedup = pattern.node_dedup(layout)
-        positions = {key: pos for key, (_u, pos) in dedup.items()}
-
-        def rank_plan(rank: int, gpu: int = -1) -> _RankPlan:
-            rp = by_rank.setdefault(rank, _RankPlan())
-            if gpu >= 0:
-                rp.gpu = gpu
-            return rp
-
-        for gpu in range(pattern.num_gpus):
-            if pattern.sends_of(gpu) or pattern.recvs_of(gpu):
-                rank_plan(layout.owner_of_global_gpu(gpu), gpu)
+        b = PlanBuilder(pattern, layout, _RankPlan)
+        node_of = b.node_of
 
         # ---- line 8: split messages by origin (on-node vs off-node) ----
-        for gpu in range(pattern.num_gpus):
-            src_rank = layout.owner_of_global_gpu(gpu)
-            src_node = node_of[gpu]
-            rp = rank_plan(src_rank, gpu)
-            for dest, idx in sorted(pattern.sends_of(gpu).items()):
-                if node_of[dest] == src_node:
-                    dest_rank = layout.owner_of_global_gpu(dest)
-                    rp.local_sends.append((dest_rank, dest, idx))
-                    rank_plan(dest_rank, dest).n_local_recv += 1
+        b.plan_local_sends()
 
         # Deduplicated inter-node streams per (src_node, dst_node).
         streams: Dict[Tuple[int, int], List[IndexRec]] = {}
         off_bytes_of_gpu: Dict[int, int] = {}
-        for (src_gpu, dst_node), (union, _pos) in sorted(dedup.items()):
+        for (src_gpu, dst_node), (union, _pos) in sorted(b.dedup.items()):
             streams.setdefault((node_of[src_gpu], dst_node), []).append(
                 (src_gpu, dst_node, 0, union))
             off_bytes_of_gpu[src_gpu] = (off_bytes_of_gpu.get(src_gpu, 0)
@@ -309,23 +268,22 @@ class _SplitBase(CommunicationStrategy):
 
         # ---- build per-rank plans ---------------------------------------
         for c in chunks:
-            sender = rank_plan(c.send_rank)
+            sender = b.rank(c.send_rank)
             sender.send_chunks.append((c.cid, c.recv_rank, c.nbytes))
-            rank_plan(c.recv_rank).n_inter_recv += 1
+            b.rank(c.recv_rank).n_inter_recv += 1
             for holder, recs in sorted(c.parts.items()):
                 if holder == c.send_rank:
                     sender.own_parts.setdefault(c.cid, []).extend(recs)
                 else:
-                    rank_plan(holder).dist_sends.append(
+                    b.rank(holder).dist_sends.append(
                         (c.send_rank, c.cid, recs))
                     sender.n_dist_recv += 1
 
         # ---- copies -------------------------------------------------------
         for gpu in range(pattern.num_gpus):
             owner = layout.owner_of_global_gpu(gpu)
-            rp = rank_plan(owner)
-            local_bytes = (sum(len(idx) for _r, _d, idx in rp.local_sends)
-                           * itemsize if rp.gpu == gpu else 0)
+            rp = b.rank(owner)
+            local_bytes = rp.send_bytes if rp.gpu == gpu else 0
             off_bytes = off_bytes_of_gpu.get(gpu, 0)
             if self.ppg == 1:
                 total = local_bytes + off_bytes
@@ -338,27 +296,18 @@ class _SplitBase(CommunicationStrategy):
                     team = team_of_gpu[gpu]
                     share = math.ceil(off_bytes / len(team))
                     for member in team:
-                        rank_plan(member).d2h_ops.append(
+                        b.rank(member).d2h_ops.append(
                             (share, len(team), off_bytes))
 
         # ---- receive side: expected data + redistribution counts ---------
-        for gpu in range(pattern.num_gpus):
-            recvs = pattern.expected_recv_lengths(gpu)
-            if not recvs:
-                continue
-            owner = layout.owner_of_global_gpu(gpu)
-            rp = rank_plan(owner, gpu)
-            rp.expected = recvs
+        for gpu, owner, rp in b.plan_receivers():
             my_node = node_of[gpu]
-            local_in = sum(n for src, n in recvs.items()
-                           if node_of[src] == my_node) * itemsize
-            off_in = sum(n for src, n in recvs.items()
-                         if node_of[src] != my_node) * itemsize
             if self.ppg == 1:
-                total = local_in + off_in
-                if total:
-                    rp.h2d_ops.append((total, 1, total))
+                rp.h2d_ops.append((rp.recv_bytes, 1, rp.recv_bytes))
             else:
+                local_in = sum(n for src, n in rp.expected.items()
+                               if node_of[src] == my_node) * itemsize
+                off_in = rp.recv_bytes - local_in
                 if local_in:
                     rp.h2d_ops.append((local_in, 1, local_in))
                 if off_in:
@@ -373,7 +322,7 @@ class _SplitBase(CommunicationStrategy):
                 for recs in c.parts.values():
                     hit = False
                     for (src, dnode, off, idx) in recs:
-                        pos = positions.get((src, dnode), {}).get(gpu)
+                        pos = b.positions.get((src, dnode), {}).get(gpu)
                         if pos is None:
                             continue
                         k0 = np.searchsorted(pos, off, side="left")
@@ -386,9 +335,7 @@ class _SplitBase(CommunicationStrategy):
                         break
             rp.n_redist_recv = len(sources - {owner})
 
-        by_rank = {r: p for r, p in by_rank.items() if not p.idle}
-        return _Plan(by_rank=by_rank, setups=setups, chunks=chunks,
-                     positions=positions, itemsize=itemsize)
+        return b.node_plan(_Plan, setups=setups, chunks=chunks)
 
     # ------------------------------------------------------------------ run
     def program(self, ctx: RankContext, plan: _Plan,
@@ -398,16 +345,8 @@ class _SplitBase(CommunicationStrategy):
             return 0.0, None
             yield  # pragma: no cover
         t0 = ctx.now
-
         # D2H copies (owners; plus team members under DD).
-        copy_events = []
-        for (nbytes, nproc, team_bytes) in rp.d2h_ops:
-            gpu = rp.gpu if rp.gpu >= 0 else 0
-            ev, _ = ctx.copy.d2h(DeviceBuffer(gpu, nbytes), nproc=nproc,
-                                 team_bytes=team_bytes)
-            copy_events.append(ev)
-        for ev in copy_events:
-            yield ev
+        yield from host_copies(ctx, rp.gpu, rp.d2h_ops, d2h=True)
 
         local_reqs = [ctx.comm.irecv(tag=TAG_LOCAL)
                       for _ in range(rp.n_local_recv)]
@@ -417,18 +356,14 @@ class _SplitBase(CommunicationStrategy):
                       for _ in range(rp.n_inter_recv)]
         redist_reqs = [ctx.comm.irecv(tag=TAG_REDIST)
                        for _ in range(rp.n_redist_recv)]
-        send_reqs = []
+        send_reqs: list = []
 
         def materialize(recs: List[IndexRec]) -> List[NodeRecord]:
             return [NodeRecord(src, dnode, off, data[src][idx])
                     for (src, dnode, off, idx) in recs]
 
         # Algorithm 2 line 1: on-node direct messages.
-        for dest_rank, dest_gpu, idx in rp.local_sends:
-            recs = [Record(rp.gpu, dest_gpu, 0, data[rp.gpu][idx])]
-            send_reqs.append(ctx.comm.isend(recs, dest=dest_rank,
-                                            tag=TAG_LOCAL,
-                                            nbytes=records_nbytes(recs)))
+        self._send_local(ctx, rp, data, True, send_reqs)
 
         # Line 2: distribute chunk parts to their assigned sender procs.
         with ctx.phase("distribute"):
@@ -449,52 +384,21 @@ class _SplitBase(CommunicationStrategy):
                 for msg in msgs:
                     cid, recs = msg.data
                     buckets.setdefault(cid, []).extend(recs)
-                for cid, recv_rank, nbytes in sorted(rp.send_chunks):
-                    recs = buckets.get(cid, [])
-                    send_reqs.append(
-                        ctx.comm.isend(recs, dest=recv_rank, tag=TAG_INTER,
-                                       nbytes=node_records_nbytes(recs)))
+                self._forward(ctx, buckets,
+                              [(cid, recv_rank) for cid, recv_rank, _n
+                               in sorted(rp.send_chunks)],
+                              TAG_INTER, True, send_reqs)
 
         # Line 4: expand unions and redistribute to destination owners.
         kept: List[Record] = []
         if rp.n_inter_recv:
             with ctx.phase("redistribute"):
                 msgs = yield ctx.comm.waitall(inter_reqs)
-                expanded: List[Record] = []
-                for nrec in flatten_messages(msgs):
-                    pos = plan.positions[(nrec.src_gpu, nrec.dest_node)]
-                    expanded.extend(expand_node_record(nrec, pos))
-                for dest_gpu, recs in sorted(group_by(expanded,
-                                                      "dest_gpu").items()):
-                    dest_rank = ctx.layout.owner_of_global_gpu(dest_gpu)
-                    if dest_rank == ctx.rank:
-                        kept.extend(recs)
-                    else:
-                        send_reqs.append(
-                            ctx.comm.isend(recs, dest=dest_rank,
-                                           tag=TAG_REDIST,
-                                           nbytes=records_nbytes(recs)))
+                self._deliver(ctx, expand_messages(plan.positions, msgs),
+                              kept, send_reqs, True)
 
-        local_msgs = yield ctx.comm.waitall(local_reqs)
-        redist_msgs = yield ctx.comm.waitall(redist_reqs)
-        yield ctx.comm.waitall(send_reqs)
-
-        # Receive-side H2D copies.
-        copy_events = []
-        for (nbytes, nproc, team_bytes) in rp.h2d_ops:
-            ev, _ = ctx.copy.h2d(nbytes, gpu=max(rp.gpu, 0), nproc=nproc,
-                                 team_bytes=team_bytes)
-            copy_events.append(ev)
-        for ev in copy_events:
-            yield ev
-
-        elapsed = ctx.now - t0
-        delivered = None
-        if rp.expected:
-            records = (kept + flatten_messages(local_msgs)
-                       + flatten_messages(redist_msgs))
-            delivered = assemble(records, rp.expected, rp.gpu)
-        return elapsed, delivered
+        return (yield from self._finish(ctx, rp, t0, kept, local_reqs,
+                                        redist_reqs, send_reqs, rp.h2d_ops))
 
 
 class SplitMD(_SplitBase):

@@ -18,11 +18,12 @@ from repro.core.base import (
     CommunicationStrategy,
     build_records,
     flatten_messages,
+    host_copies,
+    whole_copy,
 )
 from repro.core.pattern import CommPattern
-from repro.core.records import Record, assemble, records_nbytes
+from repro.core.records import assemble
 from repro.machine.topology import JobLayout
-from repro.mpi.buffers import DeviceBuffer
 from repro.mpi.job import RankContext
 
 
@@ -83,30 +84,23 @@ class _StandardBase(CommunicationStrategy):
         # plan's copy-engine outage is active (see effective_staged).
         staged = self.effective_staged(ctx)
         records = build_records(rp.gpu, data, {d: i for _r, d, i in rp.sends})
-
-        if staged and rp.send_bytes:
-            # One packed D2H copy of everything leaving this GPU.
-            ev, _ = ctx.copy.d2h(DeviceBuffer(rp.gpu, rp.send_bytes))
-            yield ev
+        # One packed D2H copy of everything leaving this GPU.
+        yield from host_copies(ctx, rp.gpu, whole_copy(rp.send_bytes, staged),
+                               d2h=True)
 
         with ctx.phase("direct"):
             recv_reqs = [ctx.comm.irecv(tag=TAG_P2P) for _ in range(rp.n_recv)]
             send_reqs = []
             for dest_rank, dest_gpu, _idx in rp.sends:
-                payload: object = [records[dest_gpu]]
-                nbytes = records[dest_gpu].nbytes
-                if not staged:
-                    payload = DeviceBuffer(rp.gpu, payload, nbytes=nbytes)
-                send_reqs.append(
-                    ctx.comm.isend(payload, dest=dest_rank, tag=TAG_P2P,
-                                   nbytes=nbytes))
+                rec = records[dest_gpu]
+                send_reqs.append(ctx.comm.isend(
+                    self._wrap(ctx, [rec], rec.nbytes, staged), dest=dest_rank,
+                    tag=TAG_P2P, nbytes=rec.nbytes))
             msgs = yield ctx.comm.waitall(recv_reqs)
             yield ctx.comm.waitall(send_reqs)
 
-        if staged and rp.recv_bytes:
-            ev, _ = ctx.copy.h2d(rp.recv_bytes, gpu=rp.gpu)
-            yield ev
-
+        yield from host_copies(ctx, rp.gpu, whole_copy(rp.recv_bytes, staged),
+                               d2h=False)
         elapsed = ctx.now - t0
         delivered = None
         if rp.expected:

@@ -16,6 +16,11 @@ inter-node message per node pair, and each source entry crosses the
 network once per destination *node* (the gather contributions are
 already deduplicated unions — Figure 2.2's data redundancy).  On-node
 messages bypass the scheme and go directly.
+
+:func:`_build_plan` runs the scheme once per *leader group* of
+``group_size`` contiguous GPUs per node: 3-Step is the one-group case
+(``group_size`` = GPUs per node), multi-leader 3-Step
+(:mod:`repro.core.multileader`) passes the machine's leader-group size.
 """
 
 from __future__ import annotations
@@ -31,138 +36,96 @@ from repro.core.base import (
     TAG_LOCAL,
     TAG_REDIST,
     CommunicationStrategy,
+    NodePlan,
+    PlanBuilder,
+    RankPlan,
+    expand_messages,
     flatten_messages,
+    host_copies,
+    whole_copy,
 )
 from repro.core.pattern import CommPattern
-from repro.core.records import (
-    NodeRecord,
-    Record,
-    assemble,
-    expand_node_record,
-    group_by,
-    node_records_nbytes,
-    records_nbytes,
-)
+from repro.core.records import NodeRecord, Record
 from repro.machine.topology import JobLayout
-from repro.mpi.buffers import DeviceBuffer
 from repro.mpi.job import RankContext
+
+
+def _leader(layout: JobLayout, node: int, peer_node: int, group: int,
+            group_size: int) -> int:
+    """Rank on ``node`` leading ``group``'s stream to or from
+    ``peer_node`` — round-robin over the group's contiguous GPUs."""
+    base = group * group_size
+    width = min(group_size, layout.machine.gpus_per_node - base)
+    return layout.owner_of_gpu(node, base + peer_node % width)
 
 
 def pair_sender(layout: JobLayout, src_node: int, dest_node: int) -> int:
     """Rank on ``src_node`` responsible for sending to ``dest_node``."""
-    gpn = layout.machine.gpus_per_node
-    return layout.owner_of_gpu(src_node, dest_node % gpn)
+    return _leader(layout, src_node, dest_node, 0,
+                   layout.machine.gpus_per_node)
 
 
 def pair_receiver(layout: JobLayout, src_node: int, dest_node: int) -> int:
     """Rank on ``dest_node`` responsible for receiving from ``src_node``."""
-    gpn = layout.machine.gpus_per_node
-    return layout.owner_of_gpu(dest_node, src_node % gpn)
+    return _leader(layout, dest_node, src_node, 0,
+                   layout.machine.gpus_per_node)
 
 
 @dataclass
-class _RankPlan:
-    gpu: int = -1
-    local_sends: List[Tuple[int, int, np.ndarray]] = field(default_factory=list)
-    n_local_recv: int = 0
+class _RankPlan(RankPlan):
     #: deduplicated gather contributions: (pair_rank, dest_node, union idx)
     gather_sends: List[Tuple[int, int, np.ndarray]] = field(default_factory=list)
     #: own unions for nodes where *this* rank is the paired sender
     own_contrib: Dict[int, np.ndarray] = field(default_factory=dict)
     #: dest_node -> (recv_pair_rank, n_gather_msgs_expected)
     forward: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    n_inter_recv: int = 0
-    n_redist_recv: int = 0
-    send_bytes: int = 0
-    recv_bytes: int = 0
-    expected: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def idle(self) -> bool:
-        return (not self.local_sends and not self.gather_sends
-                and not self.own_contrib and not self.forward
-                and self.n_local_recv == 0 and self.n_inter_recv == 0
-                and self.n_redist_recv == 0 and not self.expected)
 
 
-@dataclass
-class _Plan:
-    by_rank: Dict[int, _RankPlan]
-    #: (src_gpu, dest_node) -> {dest_gpu: positions in the union stream}
-    positions: Dict[Tuple[int, int], Dict[int, np.ndarray]]
-    itemsize: int
+def _build_plan(pattern: CommPattern, layout: JobLayout,
+                group_size: int) -> NodePlan:
+    gpn = layout.machine.gpus_per_node
+    b = PlanBuilder(pattern, layout, _RankPlan)
+    node_of = b.node_of
+    b.plan_local_sends()
 
+    def group_of(gpu: int) -> int:
+        return (gpu % gpn) // group_size
 
-def _build_plan(pattern: CommPattern, layout: JobLayout) -> _Plan:
-    node_of = pattern.node_of_gpu(layout)
-    by_rank: Dict[int, _RankPlan] = {}
-    dedup = pattern.node_dedup(layout)
-    positions = {key: pos for key, (_u, pos) in dedup.items()}
-
-    def rank_plan(rank: int, gpu: int = -1) -> _RankPlan:
-        rp = by_rank.setdefault(rank, _RankPlan())
-        if gpu >= 0:
-            rp.gpu = gpu
-        return rp
-
-    for gpu in range(pattern.num_gpus):
-        if pattern.sends_of(gpu) or pattern.recvs_of(gpu):
-            rank_plan(layout.owner_of_global_gpu(gpu), gpu)
-
-    # Local (on-node) direct messages.
-    for gpu in range(pattern.num_gpus):
-        src_rank = layout.owner_of_global_gpu(gpu)
-        src_node = node_of[gpu]
-        rp = rank_plan(src_rank, gpu)
-        for dest, idx in sorted(pattern.sends_of(gpu).items()):
-            if node_of[dest] == src_node:
-                dest_rank = layout.owner_of_global_gpu(dest)
-                rp.local_sends.append((dest_rank, dest, idx))
-                rank_plan(dest_rank, dest).n_local_recv += 1
-                rp.send_bytes += len(idx) * pattern.itemsize
-
-    # Deduplicated gather contributions per (src gpu, dest node).
-    contributors: Dict[Tuple[int, int], Set[int]] = {}
-    for (src_gpu, dest_node), (union, _pos) in sorted(dedup.items()):
+    # Deduplicated gather contributions, routed to the group's sender.
+    contributors: Dict[Tuple[int, int, int], Set[int]] = {}
+    for (src_gpu, dest_node), (union, _pos) in sorted(b.dedup.items()):
         src_rank = layout.owner_of_global_gpu(src_gpu)
         src_node = node_of[src_gpu]
-        rp = rank_plan(src_rank, src_gpu)
+        group = group_of(src_gpu)
+        rp = b.rank(src_rank, src_gpu)
         rp.send_bytes += len(union) * pattern.itemsize
-        sender = pair_sender(layout, src_node, dest_node)
+        sender = _leader(layout, src_node, dest_node, group, group_size)
         if sender == src_rank:
             rp.own_contrib[dest_node] = union
         else:
             rp.gather_sends.append((sender, dest_node, union))
-        contributors.setdefault((src_node, dest_node), set()).add(src_rank)
+        contributors.setdefault((src_node, dest_node, group),
+                                set()).add(src_rank)
 
-    # Forwarding duties and inter-node receive counts.
-    for (src_node, dest_node), who in sorted(contributors.items()):
-        sender = pair_sender(layout, src_node, dest_node)
-        receiver = pair_receiver(layout, src_node, dest_node)
-        rank_plan(sender).forward[dest_node] = (receiver, len(who - {sender}))
-        rank_plan(receiver).n_inter_recv += 1
+    # Forwarding duties and inter-node receive counts: one stream per
+    # (node pair, group).
+    for (src_node, dest_node, group), who in sorted(contributors.items()):
+        sender = _leader(layout, src_node, dest_node, group, group_size)
+        receiver = _leader(layout, dest_node, src_node, group, group_size)
+        b.rank(sender).forward[dest_node] = (receiver, len(who - {sender}))
+        b.rank(receiver).n_inter_recv += 1
 
-    # Redistribution receive counts + expected assembly lengths.
-    for gpu in range(pattern.num_gpus):
-        recvs = pattern.expected_recv_lengths(gpu)
-        if not recvs:
-            continue
-        rank = layout.owner_of_global_gpu(gpu)
-        rp = rank_plan(rank, gpu)
-        rp.expected = recvs
-        rp.recv_bytes = sum(recvs.values()) * pattern.itemsize
-        # A paired receiver combines records from every origin node it
-        # handles into ONE redistribution message per destination owner,
-        # so count distinct paired-receiver ranks, not origin nodes.
-        origin_nodes = {node_of[src] for src in recvs
-                        if node_of[src] != node_of[gpu]}
-        receivers = {pair_receiver(layout, k, node_of[gpu])
-                     for k in origin_nodes}
+    for gpu, rank, rp in b.plan_receivers():
+        # A paired receiver combines records from every (origin node,
+        # group) it handles into ONE redistribution message per
+        # destination owner, so count distinct receiver ranks.
+        origins = {(node_of[src], group_of(src)) for src in rp.expected
+                   if node_of[src] != node_of[gpu]}
+        receivers = {_leader(layout, node_of[gpu], k, g, group_size)
+                     for k, g in origins}
         rp.n_redist_recv = len(receivers - {rank})
 
-    by_rank = {r: p for r, p in by_rank.items() if not p.idle}
-    return _Plan(by_rank=by_rank, positions=positions,
-                 itemsize=pattern.itemsize)
+    return b.node_plan()
 
 
 class _ThreeStepBase(CommunicationStrategy):
@@ -170,22 +133,10 @@ class _ThreeStepBase(CommunicationStrategy):
     trace_phases = ("gather", "inter-node", "redistribute",
                     "on-node direct")
 
-    def plan(self, pattern: CommPattern, layout: JobLayout) -> _Plan:
-        return _build_plan(pattern, layout)
+    def plan(self, pattern: CommPattern, layout: JobLayout) -> NodePlan:
+        return _build_plan(pattern, layout, layout.machine.gpus_per_node)
 
-    def _wrap(self, ctx: RankContext, obj, nbytes: int, staged: bool):
-        """Payload for the wire: device-buffer-wrapped on the GPU path."""
-        if staged:
-            return obj
-        gpu = ctx.global_gpu
-        if gpu is None:
-            raise RuntimeError(
-                f"device-aware 3-Step requires GPU owner ranks "
-                f"(rank {ctx.rank} owns none)"
-            )
-        return DeviceBuffer(gpu, obj, nbytes=nbytes)
-
-    def program(self, ctx: RankContext, plan: _Plan,
+    def program(self, ctx: RankContext, plan: NodePlan,
                 data: Sequence[np.ndarray]) -> Generator:
         rp = plan.by_rank.get(ctx.rank)
         if rp is None:
@@ -193,10 +144,8 @@ class _ThreeStepBase(CommunicationStrategy):
             yield  # pragma: no cover
         t0 = ctx.now
         staged = self.effective_staged(ctx)
-
-        if staged and rp.send_bytes:
-            ev, _ = ctx.copy.d2h(DeviceBuffer(rp.gpu, rp.send_bytes))
-            yield ev
+        yield from host_copies(ctx, rp.gpu, whole_copy(rp.send_bytes, staged),
+                               d2h=True)
 
         # Post every receive up front (rendezvous wants posted receivers).
         local_reqs = [ctx.comm.irecv(tag=TAG_LOCAL)
@@ -208,24 +157,15 @@ class _ThreeStepBase(CommunicationStrategy):
                       for _ in range(rp.n_inter_recv)]
         redist_reqs = [ctx.comm.irecv(tag=TAG_REDIST)
                        for _ in range(rp.n_redist_recv)]
-        send_reqs = []
+        send_reqs: list = []
 
         # Step 0: on-node direct messages.
-        for dest_rank, dest_gpu, idx in rp.local_sends:
-            recs = [Record(rp.gpu, dest_gpu, 0, data[rp.gpu][idx])]
-            nbytes = records_nbytes(recs)
-            send_reqs.append(ctx.comm.isend(self._wrap(ctx, recs, nbytes, staged),
-                                            dest=dest_rank,
-                                            tag=TAG_LOCAL, nbytes=nbytes))
+        self._send_local(ctx, rp, data, staged, send_reqs)
 
         # Step 1: deduplicated gather contributions at the paired senders.
         with ctx.phase("gather"):
-            for pair_rank, dest_node, union in rp.gather_sends:
-                nrec = NodeRecord(rp.gpu, dest_node, 0, data[rp.gpu][union])
-                send_reqs.append(
-                    ctx.comm.isend(self._wrap(ctx, [nrec], nrec.nbytes, staged),
-                                   dest=pair_rank, tag=TAG_GATHER,
-                                   nbytes=nrec.nbytes))
+            self._send_unions(ctx, rp, data, rp.gather_sends, TAG_GATHER,
+                              staged, send_reqs)
 
         # Step 2: forward one combined buffer per destination node.
         if rp.forward:
@@ -237,50 +177,22 @@ class _ThreeStepBase(CommunicationStrategy):
                 msgs = yield ctx.comm.waitall(gather_reqs)
                 for nrec in flatten_messages(msgs):
                     buckets.setdefault(nrec.dest_node, []).append(nrec)
-                for dest_node, (recv_rank, _n) in sorted(rp.forward.items()):
-                    nrecs = buckets.get(dest_node, [])
-                    nbytes = node_records_nbytes(nrecs)
-                    send_reqs.append(
-                        ctx.comm.isend(self._wrap(ctx, nrecs, nbytes, staged),
-                                       dest=recv_rank, tag=TAG_INTER,
-                                       nbytes=nbytes))
+                self._forward(ctx, buckets,
+                              [(node, recv_rank) for node, (recv_rank, _n)
+                               in sorted(rp.forward.items())],
+                              TAG_INTER, staged, send_reqs)
 
         # Step 3: expand unions and redistribute on-node.
         kept: List[Record] = []
         if rp.n_inter_recv:
             with ctx.phase("redistribute"):
                 msgs = yield ctx.comm.waitall(inter_reqs)
-                expanded: List[Record] = []
-                for nrec in flatten_messages(msgs):
-                    pos = plan.positions[(nrec.src_gpu, nrec.dest_node)]
-                    expanded.extend(expand_node_record(nrec, pos))
-                for dest_gpu, recs in sorted(group_by(expanded,
-                                                      "dest_gpu").items()):
-                    dest_rank = ctx.layout.owner_of_global_gpu(dest_gpu)
-                    if dest_rank == ctx.rank:
-                        kept.extend(recs)
-                    else:
-                        nbytes = records_nbytes(recs)
-                        send_reqs.append(
-                            ctx.comm.isend(self._wrap(ctx, recs, nbytes, staged),
-                                           dest=dest_rank, tag=TAG_REDIST,
-                                           nbytes=nbytes))
+                self._deliver(ctx, expand_messages(plan.positions, msgs),
+                              kept, send_reqs, staged)
 
-        local_msgs = yield ctx.comm.waitall(local_reqs)
-        redist_msgs = yield ctx.comm.waitall(redist_reqs)
-        yield ctx.comm.waitall(send_reqs)
-
-        if staged and rp.recv_bytes:
-            ev, _ = ctx.copy.h2d(rp.recv_bytes, gpu=rp.gpu)
-            yield ev
-
-        elapsed = ctx.now - t0
-        delivered = None
-        if rp.expected:
-            records = (kept + flatten_messages(local_msgs)
-                       + flatten_messages(redist_msgs))
-            delivered = assemble(records, rp.expected, rp.gpu)
-        return elapsed, delivered
+        return (yield from self._finish(ctx, rp, t0, kept, local_reqs,
+                                        redist_reqs, send_reqs,
+                                        whole_copy(rp.recv_bytes, staged)))
 
 
 class ThreeStepStaged(_ThreeStepBase):

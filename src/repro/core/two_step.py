@@ -26,19 +26,16 @@ from repro.core.base import (
     TAG_LOCAL,
     TAG_REDIST,
     CommunicationStrategy,
-    flatten_messages,
+    NodePlan,
+    PlanBuilder,
+    RankPlan,
+    expand_messages,
+    host_copies,
+    whole_copy,
 )
 from repro.core.pattern import CommPattern
-from repro.core.records import (
-    NodeRecord,
-    Record,
-    assemble,
-    expand_node_record,
-    group_by,
-    records_nbytes,
-)
+from repro.core.records import Record
 from repro.machine.topology import JobLayout
-from repro.mpi.buffers import DeviceBuffer
 from repro.mpi.job import RankContext
 
 
@@ -48,112 +45,45 @@ def pair_rank(layout: JobLayout, dest_node: int, local_gpu: int) -> int:
 
 
 @dataclass
-class _RankPlan:
-    gpu: int = -1
-    local_gpu: int = -1
-    local_sends: List[Tuple[int, int, np.ndarray]] = field(default_factory=list)
-    n_local_recv: int = 0
+class _RankPlan(RankPlan):
     #: dest_node -> (pair rank there, union index array)
     inter_sends: Dict[int, Tuple[int, np.ndarray]] = field(default_factory=dict)
-    n_inter_recv: int = 0
-    n_redist_recv: int = 0
-    send_bytes: int = 0
-    recv_bytes: int = 0
-    expected: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def idle(self) -> bool:
-        return (not self.local_sends and not self.inter_sends
-                and self.n_local_recv == 0 and self.n_inter_recv == 0
-                and self.n_redist_recv == 0 and not self.expected)
 
 
-@dataclass
-class _Plan:
-    by_rank: Dict[int, _RankPlan]
-    positions: Dict[Tuple[int, int], Dict[int, np.ndarray]]
-    itemsize: int
-
-
-def _build_plan(pattern: CommPattern, layout: JobLayout) -> _Plan:
-    node_of = pattern.node_of_gpu(layout)
+def _build_plan(pattern: CommPattern, layout: JobLayout) -> NodePlan:
     gpn = layout.machine.gpus_per_node
-    by_rank: Dict[int, _RankPlan] = {}
-    dedup = pattern.node_dedup(layout)
-    positions = {key: pos for key, (_u, pos) in dedup.items()}
-
-    def rank_plan(rank: int, gpu: int = -1) -> _RankPlan:
-        rp = by_rank.setdefault(rank, _RankPlan())
-        if gpu >= 0:
-            rp.gpu = gpu
-            rp.local_gpu = gpu % gpn
-        return rp
-
-    for gpu in range(pattern.num_gpus):
-        if pattern.sends_of(gpu) or pattern.recvs_of(gpu):
-            rank_plan(layout.owner_of_global_gpu(gpu), gpu)
-
-    # Local direct messages.
-    for gpu in range(pattern.num_gpus):
-        src_rank = layout.owner_of_global_gpu(gpu)
-        src_node = node_of[gpu]
-        rp = rank_plan(src_rank, gpu)
-        for dest, idx in sorted(pattern.sends_of(gpu).items()):
-            if node_of[dest] == src_node:
-                dest_rank = layout.owner_of_global_gpu(dest)
-                rp.local_sends.append((dest_rank, dest, idx))
-                rank_plan(dest_rank, dest).n_local_recv += 1
-                rp.send_bytes += len(idx) * pattern.itemsize
+    b = PlanBuilder(pattern, layout, _RankPlan)
+    node_of = b.node_of
+    b.plan_local_sends()
 
     # Deduplicated inter-node messages straight to the pairs.
-    for (src_gpu, dest_node), (union, _pos) in sorted(dedup.items()):
+    for (src_gpu, dest_node), (union, _pos) in sorted(b.dedup.items()):
         src_rank = layout.owner_of_global_gpu(src_gpu)
-        rp = rank_plan(src_rank, src_gpu)
+        rp = b.rank(src_rank, src_gpu)
         receiver = pair_rank(layout, dest_node, src_gpu % gpn)
         rp.inter_sends[dest_node] = (receiver, union)
         rp.send_bytes += len(union) * pattern.itemsize
-        rank_plan(receiver).n_inter_recv += 1
+        b.rank(receiver).n_inter_recv += 1
 
-    # Redistribution receive counts + expected lengths.
-    for gpu in range(pattern.num_gpus):
-        recvs = pattern.expected_recv_lengths(gpu)
-        if not recvs:
-            continue
-        rank = layout.owner_of_global_gpu(gpu)
-        rp = rank_plan(rank, gpu)
-        rp.expected = recvs
-        rp.recv_bytes = sum(recvs.values()) * pattern.itemsize
+    for gpu, rank, rp in b.plan_receivers():
         my_node = node_of[gpu]
         pair_receivers: Set[int] = set()
-        for src in recvs:
+        for src in rp.expected:
             if node_of[src] != my_node:
                 pair_receivers.add(pair_rank(layout, my_node, src % gpn))
         rp.n_redist_recv = len(pair_receivers - {rank})
 
-    by_rank = {r: p for r, p in by_rank.items() if not p.idle}
-    return _Plan(by_rank=by_rank, positions=positions,
-                 itemsize=pattern.itemsize)
+    return b.node_plan()
 
 
 class _TwoStepBase(CommunicationStrategy):
     name = "2-Step"
     trace_phases = ("inter-node", "redistribute", "on-node direct")
 
-    def plan(self, pattern: CommPattern, layout: JobLayout) -> _Plan:
+    def plan(self, pattern: CommPattern, layout: JobLayout) -> NodePlan:
         return _build_plan(pattern, layout)
 
-    def _wrap(self, ctx: RankContext, obj, nbytes: int, staged: bool):
-        if staged:
-            return obj
-        gpu = ctx.global_gpu
-        if gpu is None:
-            raise RuntimeError(
-                f"device-aware 2-Step requires GPU owner ranks "
-                f"(rank {ctx.rank} owns none)"
-            )
-        return DeviceBuffer(gpu, obj, nbytes=nbytes)
-
-    def program(self, ctx: RankContext, plan: _Plan,
+    def program(self, ctx: RankContext, plan: NodePlan,
                 data: Sequence[np.ndarray]) -> Generator:
         rp = plan.by_rank.get(ctx.rank)
         if rp is None:
@@ -161,10 +91,8 @@ class _TwoStepBase(CommunicationStrategy):
             yield  # pragma: no cover
         t0 = ctx.now
         staged = self.effective_staged(ctx)
-
-        if staged and rp.send_bytes:
-            ev, _ = ctx.copy.d2h(DeviceBuffer(rp.gpu, rp.send_bytes))
-            yield ev
+        yield from host_copies(ctx, rp.gpu, whole_copy(rp.send_bytes, staged),
+                               d2h=True)
 
         local_reqs = [ctx.comm.irecv(tag=TAG_LOCAL)
                       for _ in range(rp.n_local_recv)]
@@ -172,61 +100,29 @@ class _TwoStepBase(CommunicationStrategy):
                       for _ in range(rp.n_inter_recv)]
         redist_reqs = [ctx.comm.irecv(tag=TAG_REDIST)
                        for _ in range(rp.n_redist_recv)]
-        send_reqs = []
+        send_reqs: list = []
 
         # On-node direct messages.
-        for dest_rank, dest_gpu, idx in rp.local_sends:
-            recs = [Record(rp.gpu, dest_gpu, 0, data[rp.gpu][idx])]
-            nbytes = records_nbytes(recs)
-            send_reqs.append(ctx.comm.isend(self._wrap(ctx, recs, nbytes, staged),
-                                            dest=dest_rank, tag=TAG_LOCAL,
-                                            nbytes=nbytes))
+        self._send_local(ctx, rp, data, staged, send_reqs)
 
         # Step 1: one deduplicated message per destination node.
         with ctx.phase("inter-node"):
-            for dest_node, (receiver, union) in sorted(rp.inter_sends.items()):
-                nrec = NodeRecord(rp.gpu, dest_node, 0, data[rp.gpu][union])
-                send_reqs.append(
-                    ctx.comm.isend(self._wrap(ctx, [nrec], nrec.nbytes, staged),
-                                   dest=receiver, tag=TAG_INTER,
-                                   nbytes=nrec.nbytes))
+            sends = [(receiver, node, union) for node, (receiver, union)
+                     in sorted(rp.inter_sends.items())]
+            self._send_unions(ctx, rp, data, sends, TAG_INTER, staged,
+                              send_reqs)
 
         # Step 2: expand and redistribute on-node.
         kept: List[Record] = []
         if rp.n_inter_recv:
             with ctx.phase("redistribute"):
                 msgs = yield ctx.comm.waitall(inter_reqs)
-                expanded: List[Record] = []
-                for nrec in flatten_messages(msgs):
-                    pos = plan.positions[(nrec.src_gpu, nrec.dest_node)]
-                    expanded.extend(expand_node_record(nrec, pos))
-                for dest_gpu, recs in sorted(group_by(expanded,
-                                                      "dest_gpu").items()):
-                    dest_rank = ctx.layout.owner_of_global_gpu(dest_gpu)
-                    if dest_rank == ctx.rank:
-                        kept.extend(recs)
-                    else:
-                        nbytes = records_nbytes(recs)
-                        send_reqs.append(
-                            ctx.comm.isend(self._wrap(ctx, recs, nbytes, staged),
-                                           dest=dest_rank, tag=TAG_REDIST,
-                                           nbytes=nbytes))
+                self._deliver(ctx, expand_messages(plan.positions, msgs),
+                              kept, send_reqs, staged)
 
-        local_msgs = yield ctx.comm.waitall(local_reqs)
-        redist_msgs = yield ctx.comm.waitall(redist_reqs)
-        yield ctx.comm.waitall(send_reqs)
-
-        if staged and rp.recv_bytes:
-            ev, _ = ctx.copy.h2d(rp.recv_bytes, gpu=rp.gpu)
-            yield ev
-
-        elapsed = ctx.now - t0
-        delivered = None
-        if rp.expected:
-            records = (kept + flatten_messages(local_msgs)
-                       + flatten_messages(redist_msgs))
-            delivered = assemble(records, rp.expected, rp.gpu)
-        return elapsed, delivered
+        return (yield from self._finish(ctx, rp, t0, kept, local_reqs,
+                                        redist_reqs, send_reqs,
+                                        whole_copy(rp.recv_bytes, staged)))
 
 
 class TwoStepStaged(_TwoStepBase):

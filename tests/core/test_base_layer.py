@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CommPattern, StandardStaged, run_exchange
+from repro.core import (CommPattern, StandardStaged, all_strategies,
+                        run_exchange)
 from repro.core.base import (
     build_records,
     default_data,
@@ -14,6 +15,7 @@ from repro.core.records import Record
 from repro.machine import lassen
 from repro.mpi import DeviceBuffer, SimJob
 from repro.mpi.communicator import Message
+from repro.mpi.job import RankContext
 
 
 @pytest.fixture
@@ -69,6 +71,26 @@ class TestHelpers:
         ]
         flat = flatten_messages(msgs)
         assert len(flat) == 3
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [s for s in all_strategies() if not s.staged],
+        ids=lambda s: s.label)
+    def test_wrap_error_names_the_strategy(self, strategy):
+        job = SimJob(lassen(), num_nodes=1, ppn=8)
+        helper = next(r for r in range(job.layout.size)
+                      if job.layout.global_gpu_of(r) is None)
+        owner = job.layout.owner_of_global_gpu(0)
+        recs = [Record(0, 1, 0, np.arange(2.0))]
+        assert strategy._wrap(RankContext(job, helper), recs, 16,
+                              staged=True) is recs
+        wrapped = strategy._wrap(RankContext(job, owner), recs, 16,
+                                 staged=False)
+        assert wrapped.data is recs and wrapped.nbytes == 16
+        with pytest.raises(RuntimeError) as err:
+            strategy._wrap(RankContext(job, helper), recs, 16, staged=False)
+        assert str(err.value) == (f"{strategy.label} requires GPU owner "
+                                  f"ranks (rank {helper} owns none)")
 
 
 class TestRunExchange:
