@@ -5,14 +5,15 @@ strategies rely on, executing in virtual time on
 :class:`repro.sim.Simulator`:
 
 * rank-per-process SPMD execution (:class:`~repro.mpi.job.SimJob`),
-* point-to-point ``isend``/``irecv``/``recv``/``waitall`` with tag and
-  source matching (including wildcards) and non-overtaking order,
+* point-to-point ``isend``/``irecv``/``send``/``recv``/``waitall`` with
+  tag and source matching (including wildcards) and non-overtaking
+  order, on the world or a :class:`Communicator` over any subset of
+  world ranks,
 * protocol selection (short / eager / rendezvous) by message size,
 * per-locality postal costs and per-node NIC injection contention
   (max-rate behaviour),
 * device buffers, ``cudaMemcpyAsync``-style H2D/D2H copies, and
-  device-aware sends straight from GPU memory,
-* communicator ``split`` and tree/dissemination collectives.
+  device-aware sends straight from GPU memory.
 
 Ranks are generator coroutines; every blocking MPI call is a ``yield``:
 

@@ -96,7 +96,7 @@ def payload_nbytes(payload: Payload, nbytes: Optional[int] = None) -> int:
         if payload < 0:
             raise ValueError(f"size-only payload must be >= 0, got {payload!r}")
         return int(payload)
-    # Generic Python objects (collective control-plane values): charge
+    # Generic Python objects (control-plane values): charge
     # their serialized size, as an mpi4py lowercase send would.
     import pickle
 

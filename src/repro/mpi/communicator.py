@@ -1,4 +1,4 @@
-"""Communicators: matching, point-to-point calls, collectives, split.
+"""Communicators: matching and point-to-point calls.
 
 Matching semantics follow MPI: receives match sends on ``(source, tag)``
 with ``ANY_SOURCE`` / ``ANY_TAG`` wildcards, and messages between one
@@ -23,8 +23,8 @@ from repro.sim.events import AllOf, Event
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: Reserved tag space for collectives; user tags must stay below this.
-_COLL_TAG_BASE = 1 << 30
+#: Tags are ints in ``[0, _TAG_LIMIT)`` (a receive may also pass ``ANY_TAG``).
+_TAG_LIMIT = 1 << 31
 
 
 class Message:
@@ -108,8 +108,8 @@ class _Matcher:
 class Communicator:
     """A group of ranks able to exchange messages.
 
-    Constructed by :class:`repro.mpi.job.SimJob` (world) or by
-    :meth:`CommHandle.split` (subcommunicators).
+    Constructed by :class:`repro.mpi.job.SimJob` (world), or directly
+    over any subset of world ranks on the same transport.
     """
 
     def __init__(self, transport: Transport, world_ranks: Sequence[int],
@@ -127,25 +127,17 @@ class Communicator:
         }
         self._matchers = [_Matcher(self, d) for d in range(self.size)]
         self._handles: Dict[int, CommHandle] = {}
-        # split coordination: seq -> {local_rank: (color, key, event)}
-        self._split_calls: Dict[int, Dict[int, Tuple[Optional[int], int, Event]]] = {}
-        self._split_count: Dict[int, int] = {}
 
     def reset_state(self) -> None:
-        """Drop matching/collective state for an independent rerun.
+        """Drop matching state for an independent rerun.
 
         Used by the :class:`~repro.mpi.job.SimJob` in-place reset path:
-        clears posted-send/recv queues, split coordination, and each
-        cached handle's collective tag sequence, so a rerun is
-        observably identical to one on a freshly built communicator.
+        clears the posted-send/recv queues, so a rerun is observably
+        identical to one on a freshly built communicator.
         """
         for matcher in self._matchers:
             matcher.sends.clear()
             matcher.recvs.clear()
-        self._split_calls.clear()
-        self._split_count.clear()
-        for handle in self._handles.values():
-            handle._coll_seq = 0
 
     # -- handles ----------------------------------------------------------------
     def handle(self, world_rank: int) -> "CommHandle":
@@ -171,7 +163,7 @@ class Communicator:
             raise ValueError(
                 f"dest {dest} out of range for {self.name!r} (size {self.size})"
             )
-        if tag < 0 or tag >= (_COLL_TAG_BASE << 1):
+        if not 0 <= tag < _TAG_LIMIT:
             raise ValueError(f"invalid tag {tag}")
         size = payload_nbytes(payload, nbytes)
         kind = TransportKind.GPU if is_device(payload) else TransportKind.CPU
@@ -203,6 +195,8 @@ class Communicator:
     def _irecv(self, dest_local: int, source: int, tag: int) -> Request:
         if source != ANY_SOURCE and not 0 <= source < self.size:
             raise ValueError(f"source {source} out of range for {self.name!r}")
+        if tag != ANY_TAG and not 0 <= tag < _TAG_LIMIT:
+            raise ValueError(f"invalid tag {tag}")
         sim = self.sim
         event = Event(sim, name="recv")
         self._matchers[dest_local].post_recv(
@@ -252,36 +246,6 @@ class Communicator:
         recv.event.succeed(Message(send.src, send.tag, payload),
                            delay=max(0.0, done - now))
 
-    # -- split coordination ------------------------------------------------------
-    def _split(self, local: int, color: Optional[int], key: int) -> Event:
-        seq = self._split_count.get(local, 0)
-        self._split_count[local] = seq + 1
-        calls = self._split_calls.setdefault(seq, {})
-        if local in calls:
-            raise RuntimeError(f"rank {local} double-called split #{seq}")
-        event = self.sim.event(name=f"split[{local}]#{seq}")
-        calls[local] = (color, key, event)
-        if len(calls) == self.size:
-            self._finish_split(seq)
-        return event
-
-    def _finish_split(self, seq: int) -> None:
-        calls = self._split_calls.pop(seq)
-        groups: Dict[int, List[Tuple[int, int]]] = {}
-        for local, (color, key, _ev) in calls.items():
-            if color is not None:
-                groups.setdefault(color, []).append((key, local))
-        handles: Dict[int, Optional[CommHandle]] = {}
-        for color, members in sorted(groups.items()):
-            members.sort()  # by (key, parent local rank)
-            world = [self.world_ranks[local] for _key, local in members]
-            sub = Communicator(
-                self.transport, world, name=f"{self.name}/split{seq}.{color}")
-            for w in world:
-                handles[self._local_of[w]] = sub.handle(w)
-        for local, (color, _key, event) in calls.items():
-            event.succeed(handles.get(local) if color is not None else None)
-
 
 class CommHandle:
     """Rank-bound view of a :class:`Communicator` — the SPMD API."""
@@ -290,7 +254,6 @@ class CommHandle:
         self.comm = comm
         self.world_rank = world_rank
         self.rank = comm.local_rank(world_rank)
-        self._coll_seq = 0
 
     @property
     def size(self) -> int:
@@ -322,134 +285,3 @@ class CommHandle:
     def waitall(self, requests: Iterable[Request]) -> AllOf:
         """Event firing when every request completes (``MPI_Waitall``)."""
         return waitall(self.sim, requests)
-
-    # -- communicator management --------------------------------------------------
-    def split(self, color: Optional[int], key: Optional[int] = None) -> Event:
-        """Collective split; ``yield`` evaluates to the new handle.
-
-        Every member of the communicator must call ``split`` the same
-        number of times.  ``color=None`` (MPI_UNDEFINED) yields ``None``.
-        Ranks in the new communicator are ordered by ``(key, old rank)``;
-        ``key`` defaults to the caller's current rank.
-        """
-        return self.comm._split(self.rank,
-                                color if color is None else int(color),
-                                self.rank if key is None else int(key))
-
-    # -- collectives (generators: use ``yield from``) ------------------------------
-    def _next_tags(self, rounds: int) -> int:
-        base = _COLL_TAG_BASE + (self._coll_seq % (1 << 16)) * 64
-        self._coll_seq += 1
-        if rounds > 64:
-            raise ValueError("collective needs too many tag rounds")
-        return base
-
-    def barrier(self):
-        """Dissemination barrier.  ``yield from comm.barrier()``."""
-        base = self._next_tags(1)
-        size, rank = self.size, self.rank
-        step, rnd = 1, 0
-        while step < size:
-            dest = (rank + step) % size
-            src = (rank - step) % size
-            req = self.irecv(source=src, tag=base + rnd)
-            self.isend(0, dest=dest, tag=base + rnd)
-            yield req.wait()
-            step <<= 1
-            rnd += 1
-        return None
-
-    def bcast(self, value: Any = None, root: int = 0):
-        """Binomial-tree broadcast; evaluates to the root's value."""
-        base = self._next_tags(1)
-        size = self.size
-        vrank = (self.rank - root) % size
-        if vrank != 0:
-            # Parent: virtual rank with its highest set bit cleared.
-            parent = vrank ^ (1 << (vrank.bit_length() - 1))
-            msg = yield self.recv(source=(parent + root) % size, tag=base)
-            value = msg.data
-        # Children: vrank + 2^k for 2^k beyond vrank's highest set bit.
-        step = 1 << vrank.bit_length()
-        while vrank + step < size:
-            self.isend(value, dest=(vrank + step + root) % size, tag=base)
-            step <<= 1
-        return value
-
-    def gather(self, value: Any, root: int = 0):
-        """Flat gather; evaluates to the list at root, ``None`` elsewhere."""
-        base = self._next_tags(1)
-        if self.rank == root:
-            out: List[Any] = [None] * self.size
-            out[root] = value
-            reqs = [self.irecv(source=src, tag=base)
-                    for src in range(self.size) if src != root]
-            msgs = yield self.waitall(reqs)
-            for msg in msgs:
-                out[msg.source] = msg.data
-            return out
-        yield self.send(value, dest=root, tag=base)
-        return None
-
-    def allgather(self, value: Any):
-        """Gather-to-root then broadcast; evaluates to the full list."""
-        gathered = yield from self.gather(value, root=0)
-        result = yield from self.bcast(gathered, root=0)
-        return result
-
-    def gatherv(self, payload: Payload, root: int = 0,
-                nbytes: Optional[int] = None):
-        """Variable-size gather of buffer payloads; evaluates to the
-        per-rank payload list at root (``None`` elsewhere)."""
-        base = self._next_tags(1)
-        if self.rank == root:
-            out: List[Any] = [None] * self.size
-            out[root] = payload
-            reqs = [self.irecv(source=src, tag=base)
-                    for src in range(self.size) if src != root]
-            msgs = yield self.waitall(reqs)
-            for msg in msgs:
-                out[msg.source] = msg.data
-            return out
-        yield self.send(payload, dest=root, tag=base, nbytes=nbytes)
-        return None
-
-    def alltoallv(self, payloads: Dict[int, Payload]):
-        """Irregular all-to-all: send ``payloads[dest]`` to each dest.
-
-        Evaluates to ``{source: payload}`` of everything received.  All
-        ranks must call it; ranks with nothing to send pass ``{}``.
-        Send counts are exchanged first (an allgather), then point-to-
-        point transfers complete the exchange — the standard-
-        communication baseline expressed as a collective.
-        """
-        base = self._next_tags(2)
-        for dest in payloads:
-            if not 0 <= dest < self.size:
-                raise ValueError(f"alltoallv dest {dest} out of range")
-            if dest == self.rank:
-                raise ValueError("alltoallv payload addressed to self")
-        # Round 0: everyone learns who sends to whom (metadata).
-        sends_to = yield from self.allgather(sorted(payloads))
-        n_recv = sum(1 for src, dests in enumerate(sends_to)
-                     if src != self.rank and self.rank in dests)
-        reqs = [self.irecv(tag=base + 1) for _ in range(n_recv)]
-        for dest, payload in sorted(payloads.items()):
-            self.isend(payload, dest=dest, tag=base + 1)
-        msgs = yield self.waitall(reqs)
-        return {msg.source: msg.data for msg in msgs}
-
-    def reduce(self, value: Any, op=None, root: int = 0):
-        """Gather + fold at root (simple flat reduction)."""
-        import functools
-        gathered = yield from self.gather(value, root=root)
-        if gathered is None:
-            return None
-        if op is None:
-            op = lambda a, b: a + b
-        return functools.reduce(op, gathered)
-
-    def allreduce(self, value: Any, op=None):
-        reduced = yield from self.reduce(value, op=op, root=0)
-        result = yield from self.bcast(reduced, root=0)
-        return result

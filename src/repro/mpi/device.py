@@ -62,11 +62,6 @@ class CopyEngine:
             )
         return self.noise.perturb(self.params.time(direction, total, nproc))
 
-    def copy_time(self, direction: CopyDirection, nbytes: int,
-                  nproc: int = 1) -> float:
-        """Noiseless copy time for ``nbytes`` total (model-side helper)."""
-        return self.params.time(direction, nbytes, nproc)
-
     # -- D2H ----------------------------------------------------------------
     def d2h(self, buf: DeviceBuffer, nproc: int = 1,
             team_bytes: Optional[int] = None) -> Tuple[Event, object]:

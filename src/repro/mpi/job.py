@@ -19,10 +19,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
-                    Sequence)
-
-import numpy as np
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.faults.plan import NO_FAULTS, FaultPlan
 from repro.machine.topology import JobLayout, MachineSpec, ProcessPlacement
@@ -32,7 +29,7 @@ from repro.mpi.transport import Transport, TransportStats
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 from repro.obs.tracer import NULL_PHASE, MemoryTracer, PhaseSpan
 from repro.sim.engine import Simulator
-from repro.sim.noise import NoiseModel, make_noise
+from repro.sim.noise import make_noise
 
 
 class RankContext:
@@ -134,9 +131,6 @@ class JobResult:
     @property
     def max_rank_time(self) -> float:
         return max(self.rank_times) if self.rank_times else 0.0
-
-    def value_of(self, rank: int) -> Any:
-        return self.values[rank]
 
 
 class SimJob:
@@ -301,13 +295,6 @@ class SimJob:
             rank_times=finish_times,
             stats=self.transport.stats,
         )
-
-    def run_repeated(self, program: Callable[..., Generator], reps: int,
-                     *args: Any, **kwargs: Any) -> List[JobResult]:
-        """Independent repetitions (fresh state each) — benchmark helper."""
-        if reps < 1:
-            raise ValueError(f"reps must be >= 1, got {reps}")
-        return [self.run(program, *args, **kwargs) for _ in range(reps)]
 
     # -- observability -------------------------------------------------------
     def metrics(self) -> Dict[str, object]:

@@ -346,20 +346,10 @@ class Transport:
             return None if self._gpu_nics is None else self._gpu_nics[node]
         return self._cpu_nics[node]
 
-    def classify(self, src: int, dest: int) -> Locality:
-        return self.layout.locality(src, dest)
-
     def protocol_for(self, kind: TransportKind, nbytes: int) -> Protocol:
         return self._select_protocol(kind, nbytes)
 
     # -- costing ------------------------------------------------------------------
-    def postal_cost(self, kind: TransportKind, locality: Locality,
-                    nbytes: int) -> Tuple[Protocol, float]:
-        """(protocol, noiseless postal time) for one message."""
-        protocol, link = self.machine.comm_params.for_message(
-            kind, locality, nbytes)
-        return protocol, link.time(nbytes)
-
     def resolve(self, src: int, dest: int, nbytes: int,
                 kind: TransportKind, protocol: Protocol, t_send: float,
                 t_match: float, tag: int = 0) -> MessageTiming:

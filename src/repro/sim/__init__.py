@@ -10,10 +10,14 @@ generator-coroutine event loop in the style of SimPy:
   in a deterministic FIFO order; ``Simulator.run`` is the one loop that
   dispatches them.
 * Processes are plain Python generators that ``yield`` :class:`Event`
-  objects; the engine resumes them with the event's value when it fires.
+  objects — timeouts, other processes, or an :class:`AllOf` over several
+  events; the engine resumes them with the event's value when it fires,
+  or raises the exception inside them when it failed.
 * :class:`~repro.sim.resources.BandwidthResource` models a FIFO byte
   server (used for NIC injection limits, producing max-rate behaviour
-  through contention rather than through a hard-coded formula).
+  through contention rather than through a hard-coded formula), and
+  :class:`~repro.sim.resources.TokenBucket` paces injection under a
+  fault plan; both are booked by time, without events.
 
 Example
 -------
@@ -32,8 +36,8 @@ Example
 
 from repro.sim.engine import (Simulator, Process, SimulationError,
                               DeadlockError, WatchdogError)
-from repro.sim.events import Event, Timeout, AllOf, AnyOf, EventState
-from repro.sim.resources import BandwidthResource, Resource, TokenBucket
+from repro.sim.events import Event, Timeout, AllOf, EventState
+from repro.sim.resources import BandwidthResource, TokenBucket
 from repro.sim.noise import NoiseModel, NoNoise, LognormalNoise
 
 __all__ = [
@@ -45,10 +49,8 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "EventState",
     "BandwidthResource",
-    "Resource",
     "TokenBucket",
     "NoiseModel",
     "NoNoise",

@@ -14,8 +14,8 @@ priority queue ordered by ``(time, seq)``:
 * a binary heap for events scheduled with a positive delay, and
 * a plain FIFO deque for *immediate* (zero-delay) events.
 
-Zero-delay events — process starts, resumptions of already-fired events,
-interrupts, and every ``succeed()``/``fail()`` without a delay — are the
+Zero-delay events — process starts, resumptions of already-fired events
+and every ``succeed()``/``fail()`` without a delay — are the
 majority of the event traffic in message-heavy simulations.  Because the
 clock never moves backwards, the deque is naturally sorted by
 ``(time, seq)``, so the engine only has to compare the two queue heads
@@ -53,14 +53,7 @@ class SimulationError(RuntimeError):
 # repro.obs via the supervised sweep executor, so it may re-enter this
 # module while the imports below are still resolving.
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventState,
-    Timeout,
-    ensure_event,
-)
+from repro.sim.events import AllOf, Event, EventState, Timeout, ensure_event
 
 _PROCESSED = EventState.PROCESSED
 _TRIGGERED = EventState.TRIGGERED
@@ -93,14 +86,6 @@ def _next_due(steps: int, budget: Optional[int],
         due = min(due, steps - steps % _TRACE_SAMPLE_EVERY
                   + _TRACE_SAMPLE_EVERY)
     return due
-
-
-class Interrupt(Exception):
-    """Raised inside a process that has been interrupted."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class _Start:
@@ -139,29 +124,17 @@ class _Resume:
         self.process._resume(self.source)
 
 
-class _Throw:
-    """Zero-delay token throwing an exception into a process."""
-
-    __slots__ = ("process", "exc")
-
-    def __init__(self, process: "Process", exc: BaseException) -> None:
-        self.process = process
-        self.exc = exc
-
-    def _process_callbacks(self) -> None:
-        self.process._throw(self.exc)
-
-
 class Process(Event):
     """A running generator coroutine.
 
     A :class:`Process` is itself an :class:`Event` that fires when the
     generator returns; its value is the generator's return value.  This
     lets processes wait on each other by yielding the process object.
+    A failed event is the one way an exception enters a process: it is
+    raised at the ``yield`` that waits on it.
     """
 
-    __slots__ = ("generator", "_waiting_on", "label", "_bound_resume",
-                 "_trace_t0")
+    __slots__ = ("generator", "label", "_bound_resume", "_trace_t0")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  label: str = "") -> None:
@@ -172,7 +145,6 @@ class Process(Event):
         super().__init__(sim, name=label or getattr(generator, "__name__", "process"))
         self.generator = generator
         self.label = self.name
-        self._waiting_on: Optional[Event] = None
         # One bound method reused for every callback subscription (a
         # fresh `self._resume` lookup allocates a new method object).
         self._bound_resume = self._resume
@@ -188,12 +160,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.processed
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise RuntimeError(f"cannot interrupt finished process {self.label!r}")
-        self.sim._schedule_token(_Throw(self, Interrupt(cause)))
-
     # -- engine internals ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         if self._state is _PROCESSED:
@@ -201,7 +167,6 @@ class Process(Event):
         if self.sim._trace_fine:
             self.sim.tracer.instant(self.label, "resume", self.sim._now,
                                     cat="engine")
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self.generator.send(event._value)
@@ -218,29 +183,8 @@ class Process(Event):
             return
         self._wait_on(target)
 
-    def _throw(self, exc: BaseException) -> None:
-        if self._state is _PROCESSED:
-            return
-        waiting = self._waiting_on
-        if waiting is not None and self._bound_resume in waiting.callbacks:
-            waiting.callbacks.remove(self._bound_resume)
-        self._waiting_on = None
-        try:
-            target = self.generator.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except BaseException as err:
-            self.sim._live_processes -= 1
-            self._state = EventState.PENDING
-            self.fail(err)
-            self.sim._crashed.append((self, err))
-            return
-        self._wait_on(target)
-
     def _wait_on(self, target: Any) -> None:
         event = target if isinstance(target, Event) else ensure_event(self.sim, target)
-        self._waiting_on = event
         if event._state is _PROCESSED:
             # Already fired: resume at the current time via an immediate
             # token so the engine (not recursion) drives the resumption.
@@ -310,7 +254,7 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
 
     def _schedule_token(self, token: Any) -> None:
-        """Queue an engine-internal immediate token (start/resume/throw)."""
+        """Queue an engine-internal immediate token (start/resume)."""
         self._imm.append((self._now, next(self._seq), token))
 
     # -- factories ---------------------------------------------------------------
@@ -322,23 +266,12 @@ class Simulator:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value=value)
 
-    def timeout_until(self, when: float, value: Any = None) -> Timeout:
-        """An event firing at absolute virtual time ``when`` (>= now)."""
-        if when < self._now - 1e-18:
-            raise ValueError(
-                f"timeout_until({when!r}) is in the past (now={self._now!r})"
-            )
-        return Timeout(self, max(0.0, when - self._now), value=value)
-
     def process(self, generator: Generator, label: str = "") -> Process:
         """Register ``generator`` as a process starting at the current time."""
         return Process(self, generator, label=label)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, list(events))
 
     # -- diagnostics -----------------------------------------------------------
     def blocked_labels(self, limit: Optional[int] = None) -> List[str]:

@@ -20,7 +20,7 @@ Events move through three states:
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -152,8 +152,13 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
-class _Condition(Event):
-    """Base for composite events over a set of child events."""
+class AllOf(Event):
+    """Fires when *all* child events have fired successfully.
+
+    Value is the list of child values in child order.  The first child
+    to fail fails the condition with that child's exception; children
+    firing after that are ignored.
+    """
 
     __slots__ = ("events", "_n_fired", "_done")
 
@@ -164,7 +169,7 @@ class _Condition(Event):
         self._n_fired = 0
         self._done = False
         if not self.events:
-            self.succeed(self._collect())
+            self.succeed([])
             return
         child_fired = self._child_fired  # one bound method for all children
         for ev in self.events:
@@ -174,9 +179,6 @@ class _Condition(Event):
             else:
                 ev.callbacks.append(child_fired)
 
-    def _collect(self) -> List[Any]:
-        return [ev.value for ev in self.events if ev.processed and ev.ok]
-
     def _child_fired(self, event: Event) -> None:
         if self._done:
             return
@@ -185,39 +187,9 @@ class _Condition(Event):
             self.fail(event._value)
             return
         self._n_fired += 1
-        if self._check():
+        if self._n_fired == len(self.events):
             self._done = True
-            self.succeed(self._collect())
-
-    def _check(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when *all* child events have fired successfully.
-
-    Value is the list of child values in child order.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._n_fired == len(self.events)
-
-    def _collect(self) -> List[Any]:
-        return [ev._value for ev in self.events]
-
-
-class AnyOf(_Condition):
-    """Fires as soon as *any* child event has fired successfully.
-
-    Value is the list of values of the children fired so far.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._n_fired >= 1
+            self.succeed([ev._value for ev in self.events])
 
 
 def ensure_event(sim: "Simulator", obj: Any) -> Event:

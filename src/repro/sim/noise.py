@@ -10,7 +10,6 @@ noise model.  All models are seeded and deterministic.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 

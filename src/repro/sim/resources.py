@@ -1,10 +1,8 @@
 """Shared-resource models for the DES kernel.
 
-Three resource kinds are provided:
+Both are booked by the transport while it costs a message; neither
+creates an event — the caller schedules the completion it computes.
 
-:class:`Resource`
-    A counting semaphore with FIFO queuing — used for exclusive access to
-    e.g. a GPU copy engine.
 :class:`BandwidthResource`
     A FIFO *byte server*: transfers of ``n`` bytes occupy the server for
     ``n / rate`` seconds, back to back.  Used for the per-node NIC, so
@@ -13,89 +11,29 @@ Three resource kinds are provided:
     the max-rate model (paper eq. 2.2) captures analytically.
 :class:`TokenBucket`
     A rate limiter admitting ``rate`` tokens/second with a burst bucket,
-    used by tests to model paced injection.
+    used for fault-plan paced injection.
 
 Observability: when the owning simulator has an enabled tracer
 (:mod:`repro.obs`), every :class:`BandwidthResource` booking emits one
-occupancy span on the server's track (``nic[k]``), and a *named*
-:class:`Resource` emits ``in_use`` counter samples on every grant and
-release — the acquire→release occupancy series.  With the default
-``NullTracer`` both sites cost a single cached-boolean branch.
+occupancy span on the server's track (``nic[k]``).  With the default
+``NullTracer`` the site costs a single cached-boolean branch.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Sequence, Tuple, TYPE_CHECKING
-
-from repro.sim.events import Event
+from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-class Resource:
-    """Counting semaphore with FIFO waiters.
-
-    ``acquire()`` returns an event that fires when a slot is granted;
-    the holder must call ``release()`` exactly once per grant.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1,
-                 name: str = "") -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def _trace_occupancy(self) -> None:
-        self.sim.tracer.counter(self.name, "in_use", self.sim.now,
-                                self._in_use)
-        if self._waiters:
-            self.sim.tracer.counter(self.name, "waiters", self.sim.now,
-                                    len(self._waiters))
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    def acquire(self) -> Event:
-        ev = self.sim.event(name="Resource.acquire")
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        if self.sim._trace_on and self.name:
-            self._trace_occupancy()
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise RuntimeError("release() without matching acquire()")
-        if self._waiters:
-            # Hand the slot directly to the next waiter.
-            self._waiters.popleft().succeed(self)
-        else:
-            self._in_use -= 1
-        if self.sim._trace_on and self.name:
-            self._trace_occupancy()
-
-
 class BandwidthResource:
     """A FIFO byte server of fixed ``rate`` bytes/second.
 
-    ``transfer(nbytes)`` reserves the server for ``nbytes / rate`` seconds
-    starting when the server frees up, and returns the event firing at the
-    transfer's completion time.  Zero-byte transfers complete at the
-    current front of the queue without consuming server time.
+    ``completion_time(nbytes)`` reserves the server for ``nbytes / rate``
+    seconds starting when the server frees up, and returns the transfer's
+    completion time.  Zero-byte transfers complete at the current front
+    of the queue without consuming server time.
 
     The server conserves throughput: the sum of bytes completed over any
     busy interval equals ``rate * interval``, which is what makes
@@ -182,29 +120,13 @@ class BandwidthResource:
     def transfers(self) -> int:
         return self._transfers
 
-    def busy_until(self, nbytes: float, start: Optional[float] = None) -> float:
-        """Completion time a transfer of ``nbytes`` would get, w/o booking."""
-        begin = max(self.available_at, self.sim.now if start is None else start)
-        if self._windows is None:
-            return begin + nbytes / self.rate
-        return self._piecewise_finish(begin, nbytes)
-
-    def transfer(self, nbytes: float, start: Optional[float] = None) -> Event:
-        """Book a transfer and return the event firing at its completion.
-
-        Parameters
-        ----------
-        nbytes:
-            Payload size; must be >= 0.
-        start:
-            Earliest virtual time the payload is ready to enter the
-            server (default: now).  The transfer begins at
-            ``max(start, server free)``.
-        """
-        return self.sim.timeout_until(self.completion_time(nbytes, start))
-
     def completion_time(self, nbytes: float, start: Optional[float] = None) -> float:
-        """Book a transfer and return its completion *time* (no event)."""
+        """Book a transfer and return its completion *time* (no event).
+
+        ``nbytes`` must be >= 0.  ``start`` is the earliest virtual time
+        the payload is ready to enter the server (default: now); the
+        transfer begins at ``max(start, server free)``.
+        """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
         begin = max(self.available_at, self.sim.now if start is None else start)
@@ -239,38 +161,14 @@ class TokenBucket:
         self._tokens = float(burst)
         self._stamp = 0.0
 
-    def _refill(self) -> None:
-        now = self.sim.now
-        self._tokens = min(self.burst, self._tokens + (now - self._stamp) * self.rate)
-        self._stamp = now
-
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
-    def take(self, amount: float) -> Event:
-        """Event firing once ``amount`` tokens have been consumed."""
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        self._refill()
-        if amount <= self._tokens:
-            self._tokens -= amount
-            return self.sim.timeout(0.0)
-        deficit = amount - self._tokens
-        self._tokens = 0.0
-        wait = deficit / self.rate
-        self._stamp = self.sim.now + wait
-        return self.sim.timeout(wait)
-
     def take_at(self, amount: float, when: float) -> float:
         """Model-side booking: consume ``amount`` tokens at virtual time
         ``when`` and return the time the tokens are available.
 
-        Unlike :meth:`take` this never creates an event — it is used by
-        the transport to gate NIC entry times while costing a message.
-        Bookings must be made in non-decreasing ``when`` order per
-        bucket; earlier stamps are clamped to the last booking.
+        It never creates an event — the transport uses it to gate NIC
+        entry times while costing a message.  Bookings must be made in
+        non-decreasing ``when`` order per bucket; earlier stamps are
+        clamped to the last booking.
         """
         if amount < 0:
             raise ValueError("amount must be >= 0")

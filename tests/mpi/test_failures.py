@@ -64,14 +64,17 @@ class TestDeadlocks:
         res = job.run(program)
         assert res.values[0] == "done"
 
-    def test_collective_mismatch_is_deadlock(self, job):
-        """One rank skipping a barrier deadlocks the rest."""
+    def test_point_to_point_mismatch_is_deadlock(self, job):
+        """One rank skipping its sends deadlocks the ranks waiting on it,
+        and the error names every one of them."""
         def program(ctx):
             if ctx.rank != 3:
-                yield from ctx.comm.barrier()
+                yield ctx.comm.recv(source=3, tag=4)
             return None
 
-        with pytest.raises(DeadlockError):
+        blocked = ", ".join(f"rank{r}" for r in range(8) if r != 3)
+        with pytest.raises(DeadlockError,
+                           match=rf"7 process\(es\) .*\(blocked: {blocked}\)"):
             job.run(program)
 
 

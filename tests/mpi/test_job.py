@@ -76,11 +76,6 @@ class TestJobResults:
         assert res.stats.by_locality[Locality.OFF_NODE] == 1
         assert res.stats.off_node_bytes == 100
 
-    def test_run_repeated_validates(self):
-        job = SimJob(lassen(), num_nodes=1, ppn=4)
-        with pytest.raises(ValueError):
-            job.run_repeated(lambda ctx: iter(()), reps=0)
-
 
 def two_full_nodes():
     return SimJob(lassen(), num_nodes=2, ppn=40)

@@ -149,6 +149,38 @@ class TestMatching:
         job.run(program)
 
 
+class TestExchanges:
+    def test_all_to_all_by_point_to_point(self, job):
+        """Every rank sends one distinct value to every other rank."""
+        def program(ctx):
+            others = [r for r in range(ctx.size) if r != ctx.rank]
+            recvs = [ctx.comm.irecv(source=s, tag=2) for s in others]
+            sends = [ctx.comm.isend(np.array([100.0 * ctx.rank + d]),
+                                    dest=d, tag=2) for d in others]
+            msgs = yield ctx.comm.waitall(recvs + sends)
+            return {m.source: m.data[0] for m in msgs[:len(recvs)]}
+
+        res = job.run(program)
+        for rank, got in enumerate(res.values):
+            assert got == {s: 100.0 * s + rank
+                           for s in range(8) if s != rank}
+
+    def test_sparse_senders(self, job):
+        """Only rank 0 sends; the ANY_SOURCE receive on rank 1 gets it
+        and nothing else waits."""
+        def program(ctx):
+            if ctx.rank == 0:
+                yield ctx.comm.send(np.ones(4), dest=1, tag=0)
+            elif ctx.rank == 1:
+                msg = yield ctx.comm.recv(source=ANY_SOURCE, tag=0)
+                return msg.source, msg.nbytes
+            return None
+
+        res = job.run(program)
+        assert res.values[1] == (0, 32)
+        assert all(v is None for r, v in enumerate(res.values) if r != 1)
+
+
 class TestWaitall:
     def test_waitall_returns_in_request_order(self, job):
         def program(ctx):

@@ -19,7 +19,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import SCHEMA
 from repro.sim.engine import Simulator
-from repro.sim.resources import BandwidthResource, Resource
+from repro.sim.resources import BandwidthResource
 
 
 def heavy_pattern(num_gpus: int = 8, block: int = 128) -> CommPattern:
@@ -111,25 +111,6 @@ class TestEngineTracing:
 
 
 class TestResourceTracing:
-    def test_named_resource_occupancy_counters(self):
-        tracer = MemoryTracer()
-        sim = Simulator(tracer=tracer)
-        res = Resource(sim, capacity=1, name="copyeng")
-
-        def holder():
-            yield res.acquire()
-            yield sim.timeout(1.0)
-            res.release()
-
-        sim.process(holder())
-        sim.process(holder())
-        sim.run()
-        samples = [c.value for c in tracer.counters
-                   if c.track == "copyeng" and c.name == "in_use"]
-        assert samples and max(samples) == 1
-        assert any(c.name == "waiters" for c in tracer.counters
-                   if c.track == "copyeng")
-
     def test_bandwidth_resource_emits_nic_spans(self):
         tracer = MemoryTracer()
         sim = Simulator(tracer=tracer)

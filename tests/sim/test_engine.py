@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import DeadlockError, Simulator
-from repro.sim.engine import Interrupt, Process, SimulationError
+from repro.sim.engine import Process, SimulationError
 
 
 @pytest.fixture
@@ -76,33 +76,6 @@ class TestProcesses:
         sim.run()
         assert log == [1.0] and p.value == "recovered"
 
-    def test_interrupt(self, sim):
-        def sleeper(sim, log):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as i:
-                log.append((sim.now, i.cause))
-            return "woke"
-
-        def interrupter(sim, target):
-            yield sim.timeout(2.0)
-            target.interrupt("wake up")
-
-        log = []
-        p = sim.process(sleeper(sim, log))
-        sim.process(interrupter(sim, p))
-        sim.run()
-        assert log == [(2.0, "wake up")] and p.value == "woke"
-
-    def test_interrupt_finished_process_raises(self, sim):
-        def quick(sim):
-            yield sim.timeout(0.0)
-
-        p = sim.process(quick(sim))
-        sim.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
 
 class TestEngine:
     def test_deadlock_detected(self, sim):
@@ -142,25 +115,6 @@ class TestEngine:
             return trace
 
         assert build() == build()
-
-    def test_timeout_until(self, sim):
-        def proc(sim):
-            yield sim.timeout(2.0)
-            yield sim.timeout_until(5.0)
-            return sim.now
-
-        p = sim.process(proc(sim))
-        sim.run()
-        assert p.value == 5.0
-
-    def test_timeout_until_past_raises(self, sim):
-        def proc(sim):
-            yield sim.timeout(2.0)
-            sim.timeout_until(1.0)
-
-        sim.process(proc(sim))
-        with pytest.raises(SimulationError):
-            sim.run()
 
     def test_run_until_in_the_past_raises(self, sim):
         # the clock never runs backwards: the immediate deque is sorted
@@ -227,14 +181,12 @@ class TestEngine:
         sim.run()
         assert sim.now == 3.0 and p.processed
 
-    def test_all_of_any_of_helpers(self, sim):
+    def test_all_of_helper(self, sim):
         def proc(sim):
             vals = yield sim.all_of([sim.timeout(1.0, value=1),
                                      sim.timeout(2.0, value=2)])
-            first = yield sim.any_of([sim.timeout(1.0, value="a"),
-                                      sim.timeout(9.0, value="b")])
-            return vals, first, sim.now
+            return vals, sim.now
 
         p = sim.process(proc(sim))
         sim.run(until=5.0)
-        assert p.value == ([1, 2], ["a"], 3.0)
+        assert p.value == ([1, 2], 2.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, EventState, Timeout, ensure_event
+from repro.sim.events import AllOf, Event, EventState, Timeout, ensure_event
 
 
 @pytest.fixture
@@ -92,20 +92,6 @@ class TestConditions:
         assert cond.processed and sim.now == 3.0
         assert cond.value == [1.0, 3.0, 2.0]
 
-    def test_any_of_fires_on_first(self, sim):
-        ts = [sim.timeout(d, value=d) for d in (5.0, 1.0, 3.0)]
-        cond = AnyOf(sim, ts)
-
-        def watcher(sim, cond, log):
-            v = yield cond
-            log.append((sim.now, v))
-
-        log = []
-        sim.process(watcher(sim, cond, log))
-        sim.run()
-        assert log[0][0] == 1.0
-        assert log[0][1] == [1.0]
-
     def test_empty_all_of_fires_immediately(self, sim):
         cond = AllOf(sim, [])
         sim.run()
@@ -127,6 +113,51 @@ class TestConditions:
         sim.run()
         assert cond.processed and not cond.ok
         assert isinstance(cond.value, RuntimeError)
+
+    def test_all_of_first_failure_wins(self, sim):
+        first, second = Event(sim), Event(sim)
+        late = RuntimeError("late")
+        early = ValueError("early")
+        first.fail(late, delay=2.0)
+        second.fail(early, delay=1.0)
+        cond = AllOf(sim, [first, sim.timeout(3.0), second])
+        fired = []
+        cond.callbacks.append(lambda ev: fired.append(sim.now))
+        sim.run()
+        # fails once, at the first failing child; later children are ignored
+        assert fired == [1.0] and cond.value is early
+
+    def test_all_of_with_already_failed_child(self, sim):
+        bad = Event(sim)
+        exc = RuntimeError("done before")
+        bad.fail(exc)
+        sim.run()
+        cond = AllOf(sim, [sim.timeout(1.0), bad])
+        sim.run()
+        assert not cond.ok and cond.value is exc
+
+    def test_all_of_failure_raises_inside_waiting_process(self, sim):
+        bad = Event(sim)
+        bad.fail(KeyError("lost"), delay=2.0)
+
+        def waiter(sim):
+            try:
+                yield AllOf(sim, [sim.timeout(1.0), bad])
+            except KeyError:
+                return ("caught", sim.now)
+            return "not raised"
+
+        p = sim.process(waiter(sim))
+        sim.run()
+        assert p.value == ("caught", 2.0)
+
+    def test_nested_all_of(self, sim):
+        inner = AllOf(sim, [sim.timeout(2.0, value="a"),
+                            sim.timeout(1.0, value="b")])
+        outer = AllOf(sim, [inner, sim.timeout(0.5, value="c")])
+        sim.run()
+        assert sim.now == 2.0
+        assert outer.value == [["a", "b"], "c"]
 
 
 def test_ensure_event_rejects_non_events(sim):

@@ -2,8 +2,8 @@
 
 The production engine splits pending events across an immediate deque
 and a binary heap.  These property-style tests replay randomized
-programs — same-time schedules, interrupts, zero-delay cascades, fail
-propagation, condition events — on both that engine and a single-heap
+programs — same-time schedules, zero-delay cascades, fail propagation,
+condition events — on both that engine and a single-heap
 reference that funnels *everything* through one ``heapq``, and assert
 the two fire the identical ``(time, tag)`` sequence.
 """
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.engine import Interrupt
 
 
 class HeapReferenceSimulator(Simulator):
@@ -135,37 +134,6 @@ def test_step_until_empty_fires_what_run_fires(seed):
 
 
 # -- targeted scenarios --------------------------------------------------------
-
-def _interrupt_scenario(sim):
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(10.0)
-            log.append((sim.now, "slept"))
-        except Interrupt as exc:
-            log.append((sim.now, f"interrupted:{exc.cause}"))
-        yield sim.timeout(1.0)
-        log.append((sim.now, "after-interrupt"))
-
-    victim = sim.process(sleeper(sim))
-
-    def poker(sim):
-        yield sim.timeout(3.0)
-        victim.interrupt("poke")
-        log.append((sim.now, "poked"))
-
-    sim.process(poker(sim))
-    for d, tag in [(3.0, "b3"), (4.0, "b4")]:
-        sim.timeout(d, value=tag).callbacks.append(_record(log))
-    sim.run()
-    return log
-
-
-def test_interrupts_match_reference():
-    opt, ref = both_engines()
-    assert _interrupt_scenario(opt) == _interrupt_scenario(ref)
-
 
 def _same_time_scenario(sim):
     """Many sources all landing on t=1.0: order must be schedule order."""

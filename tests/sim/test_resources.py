@@ -1,53 +1,14 @@
-"""Resource, BandwidthResource and TokenBucket behaviour."""
+"""BandwidthResource and TokenBucket behaviour."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import BandwidthResource, Resource, Simulator, TokenBucket
+from repro.sim import BandwidthResource, Simulator, TokenBucket
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestResource:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_acquire_release_counts(self, sim):
-        res = Resource(sim, capacity=2)
-        a = res.acquire()
-        b = res.acquire()
-        assert a.triggered and b.triggered
-        assert res.in_use == 2 and res.available == 0
-        c = res.acquire()
-        assert c.pending  # queued
-        res.release()
-        sim.run()
-        assert c.processed
-
-    def test_release_without_acquire_raises(self, sim):
-        res = Resource(sim)
-        with pytest.raises(RuntimeError):
-            res.release()
-
-    def test_fifo_grant_order(self, sim):
-        res = Resource(sim, capacity=1)
-        got = []
-
-        def worker(sim, res, wid, hold):
-            grant = res.acquire()
-            yield grant
-            got.append(wid)
-            yield sim.timeout(hold)
-            res.release()
-
-        for w in range(3):
-            sim.process(worker(sim, res, w, 1.0))
-        sim.run()
-        assert got == [0, 1, 2]
 
 
 class TestBandwidthResource:
@@ -57,9 +18,8 @@ class TestBandwidthResource:
 
     def test_single_transfer_time(self, sim):
         nic = BandwidthResource(sim, rate=1e9)
-        ev = nic.transfer(1e6)
-        sim.run()
-        assert ev.processed and sim.now == pytest.approx(1e-3)
+        assert nic.completion_time(1e6) == pytest.approx(1e-3)
+        assert nic.available_at == pytest.approx(1e-3)
 
     def test_serialization(self, sim):
         nic = BandwidthResource(sim, rate=100.0)
@@ -71,7 +31,7 @@ class TestBandwidthResource:
     def test_negative_bytes_rejected(self, sim):
         nic = BandwidthResource(sim, rate=1.0)
         with pytest.raises(ValueError):
-            nic.transfer(-1)
+            nic.completion_time(-1)
 
     def test_start_parameter_defers_entry(self, sim):
         nic = BandwidthResource(sim, rate=100.0)
@@ -80,11 +40,49 @@ class TestBandwidthResource:
 
     def test_counters(self, sim):
         nic = BandwidthResource(sim, rate=10.0)
-        nic.transfer(5)
-        nic.transfer(15)
+        nic.completion_time(5)
+        nic.completion_time(15)
         assert nic.bytes_served == 20 and nic.transfers == 2
         nic.reset()
         assert nic.bytes_served == 0 and nic.transfers == 0
+
+    def test_zero_bytes_take_no_server_time(self, sim):
+        nic = BandwidthResource(sim, rate=100.0)
+        nic.completion_time(100)                 # busy until 1 s
+        assert nic.completion_time(0) == pytest.approx(1.0)
+        assert nic.available_at == pytest.approx(1.0)
+        assert nic.transfers == 2 and nic.bytes_served == 100
+
+    def test_booking_starts_at_the_clock(self, sim):
+        nic = BandwidthResource(sim, rate=100.0)
+
+        def proc(sim):
+            yield sim.timeout(2.0)
+            return nic.completion_time(100)
+
+        p = sim.process(proc(sim))
+        sim.run()
+        assert p.value == pytest.approx(3.0)
+
+    def test_early_start_queues_behind_busy_server(self, sim):
+        nic = BandwidthResource(sim, rate=100.0)
+        nic.completion_time(100)                 # [0, 1)
+        # ready at 0.5, but the server is busy until 1
+        assert nic.completion_time(100, start=0.5) == pytest.approx(2.0)
+
+    def test_available_at_never_lags_the_clock(self, sim):
+        nic = BandwidthResource(sim, rate=100.0)
+        nic.completion_time(100)                 # idle again at 1 s
+        sim.timeout(5.0)
+        sim.run()
+        assert nic.available_at == 5.0
+
+    def test_reset_forgets_the_queue(self, sim):
+        nic = BandwidthResource(sim, rate=100.0)
+        nic.completion_time(500)
+        nic.reset()
+        assert nic.available_at == 0.0
+        assert nic.completion_time(100) == pytest.approx(1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(sizes=st.lists(st.integers(min_value=0, max_value=10**7),
@@ -109,43 +107,57 @@ class TestTokenBucket:
 
     def test_burst_is_instant(self, sim):
         tb = TokenBucket(sim, rate=10.0, burst=100.0)
-
-        def proc(sim, tb):
-            yield tb.take(100.0)
-            return sim.now
-
-        p = sim.process(proc(sim, tb))
-        sim.run()
-        assert p.value == 0.0
+        assert tb.take_at(100.0, when=0.0) == 0.0
 
     def test_refill_paces_requests(self, sim):
         tb = TokenBucket(sim, rate=10.0, burst=10.0)
-
-        def proc(sim, tb):
-            yield tb.take(10.0)   # instant, drains bucket
-            yield tb.take(20.0)   # waits 2 s at 10 tok/s
-            return sim.now
-
-        p = sim.process(proc(sim, tb))
-        sim.run()
-        assert p.value == pytest.approx(2.0)
+        assert tb.take_at(10.0, when=0.0) == 0.0   # instant, drains bucket
+        # waits 2 s at 10 tok/s
+        assert tb.take_at(20.0, when=0.0) == pytest.approx(2.0)
 
     def test_negative_take_rejected(self, sim):
         tb = TokenBucket(sim, rate=1.0, burst=1.0)
         with pytest.raises(ValueError):
-            tb.take(-1.0)
+            tb.take_at(-1e-9, when=0.0)
+        # the refused booking left the bucket full
+        assert tb.take_at(1.0, when=0.0) == 0.0
 
     def test_tokens_property_refills_lazily(self, sim):
         tb = TokenBucket(sim, rate=10.0, burst=20.0)
+        tb.take_at(20.0, when=0.0)                 # drain at t=0
+        # 1 s later exactly 10 tokens have accrued: 10 are instant,
+        # one more token waits 0.1 s
+        assert tb.take_at(10.0, when=1.0) == 1.0
+        assert tb.take_at(1.0, when=1.0) == pytest.approx(1.1)
 
-        def proc(sim, tb):
-            yield tb.take(20.0)      # drain at t=0
-            yield sim.timeout(1.0)   # 10 tokens accrue
-            return tb.tokens
+    def test_refill_is_capped_at_burst(self, sim):
+        tb = TokenBucket(sim, rate=10.0, burst=20.0)
+        tb.take_at(20.0, when=0.0)
+        # a long idle spell refills to the burst, not beyond it
+        assert tb.take_at(20.0, when=100.0) == 100.0
+        assert tb.take_at(10.0, when=100.0) == pytest.approx(101.0)
 
-        p = sim.process(proc(sim, tb))
-        sim.run()
-        assert p.value == pytest.approx(10.0)
+    def test_zero_take_is_instant(self, sim):
+        tb = TokenBucket(sim, rate=1.0, burst=1.0)
+        tb.take_at(1.0, when=0.0)                  # empty bucket
+        assert tb.take_at(0.0, when=0.0) == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(amounts=st.lists(st.floats(min_value=0.0, max_value=1e6),
+                            min_size=1, max_size=20),
+           rate=st.floats(min_value=1.0, max_value=1e9),
+           burst=st.floats(min_value=1.0, max_value=1e6))
+    def test_take_at_drains_at_rate_after_burst(self, amounts, rate, burst):
+        """Back-to-back bookings at t=0 are ready once the burst plus
+        ``rate * t`` tokens cover them."""
+        tb = TokenBucket(Simulator(), rate=rate, burst=burst)
+        ready = 0.0
+        for a in amounts:
+            ready = tb.take_at(a, when=0.0)
+        expected = max(0.0, (sum(amounts) - burst) / rate)
+        # token sums round at the scale of the amounts, not of the deficit
+        slack = 1e-9 * (sum(amounts) + burst) / rate
+        assert ready == pytest.approx(expected, rel=1e-9, abs=slack)
 
     def test_take_at_books_without_events(self, sim):
         # Model-side booking used by the fault-plan pacing path.
