@@ -18,12 +18,10 @@ Usage::
     python -m repro trace [SCENARIO] [--smoke] [-o trace.json]
                                           # traced run -> Perfetto JSON
     python -m repro chaos [--seed N] [--smoke] [--jobs N] [--cache]
-                          [--proc-faults [SPEC]] [--ledger L.jsonl]
-                          [--profile P.txt] [-o report.json]
+                          [--ledger L.jsonl] [--profile P.txt]
+                          [-o report.json]
                                           # randomized fault sweep with
-                                          # engine invariant checks;
-                                          # --proc-faults injects seeded
-                                          # worker crashes/hangs/raises
+                                          # engine invariant checks
     python -m repro atlas build [--machine M] [--smoke] [--jobs N]
                                 [--cache] [--ledger L.jsonl] [-o A.atlas]
                                           # precompute the best-strategy
@@ -48,13 +46,12 @@ spelling — ``frontier-like`` == ``frontier_like``; default lassen).
 ``--ledger PATH`` writes a schema-versioned JSONL run ledger (see
 docs/observability.md) consumed by ``python -m repro obs``.
 
-``report``, ``scenario`` and ``chaos`` also take
-``--max-retries N`` / ``--task-timeout SECONDS`` / ``--resume``: any of
-them gives the sweep a failure policy — watchdog deadlines, pool
-respawn after worker loss, seeded retry with quarantine — and a shard
-journal so a killed run can ``--resume`` and re-execute only missing
-shards; without them the first failure ends the sweep as itself (see
-docs/resilience.md).
+``report``, ``scenario``, ``chaos`` and ``atlas build`` also take
+``--task-timeout SECONDS`` / ``--resume``.  At any setting the first
+failure — a shard's exception, a lost worker, a worker chunk past its
+``--task-timeout`` budget — ends the sweep; either flag journals the
+sweep under the disk cache, so a failed or killed run can ``--resume``
+and re-execute only the missing shards (see docs/resilience.md).
 
 Input that fails validation — an unknown ``--machine``, a negative or
 non-finite size, a path that is not there — ends in one line on stderr

@@ -1,10 +1,11 @@
 """``python -m repro atlas`` — build, inspect and query atlases.
 
 ``build`` is a sweep-shaped command like ``scenario``/``report``: it
-takes the shared ``--jobs`` / ``--cache`` / ``--ledger`` / supervision
-flags, fans build shards through :func:`repro.par.sweep_map`, and
-writes the byte-deterministic artifact (identical at any ``--jobs``
-value; a killed build ``--resume``\\ s from the journal + cache).
+takes the shared ``--jobs`` / ``--cache`` / ``--ledger`` /
+``--task-timeout`` / ``--resume`` flags, fans build shards through
+:func:`repro.par.sweep_map`, and writes the byte-deterministic artifact
+(identical at any ``--jobs`` value; a killed build ``--resume``\\ s
+from the journal + cache).
 ``query`` loads an artifact and answers one scenario in O(1); ``info``
 prints the header, winner distribution and frontier size without
 touching the tensor payload semantics.

@@ -8,9 +8,6 @@ Public surface:
 * :data:`NO_FAULTS` — the inert default plan.
 * :class:`DeliveryError` — raised when a message exhausts its
   retransmit budget.
-* :class:`ProcFaultPlan` / :class:`ProcFault` — *process-level* fault
-  schedules (worker crash / hang / raise) for supervised sweeps, with
-  :data:`NO_PROC_FAULTS` as the inert default.
 
 The chaos harness lives in :mod:`repro.faults.chaos` and is imported
 lazily by the CLI (it pulls in :mod:`repro.core`, which depends on the
@@ -29,14 +26,6 @@ from repro.faults.plan import (
     RetryPolicy,
     Straggler,
 )
-from repro.faults.procfault import (
-    NO_PROC_FAULTS,
-    PROC_FAULT_EXIT,
-    PROC_FAULT_KINDS,
-    ProcFault,
-    ProcFaultPlan,
-    parse_proc_fault_spec,
-)
 
 __all__ = [
     "DeliveryError",
@@ -46,13 +35,7 @@ __all__ = [
     "MessageLoss",
     "NoFaults",
     "NO_FAULTS",
-    "NO_PROC_FAULTS",
-    "PROC_FAULT_EXIT",
-    "PROC_FAULT_KINDS",
     "Pacing",
-    "ProcFault",
-    "ProcFaultPlan",
     "RetryPolicy",
     "Straggler",
-    "parse_proc_fault_spec",
 ]

@@ -32,23 +32,16 @@ in serial order, so parallel reports are byte-identical to serial ones.
 (:class:`repro.par.ResultCache`): a re-run with unchanged inputs skips
 completed shards entirely.
 
-**Process-level chaos** (``--proc-faults [SPEC]``) turns the sweep into
-its own test subject: a seeded :class:`repro.faults.ProcFaultPlan`
-makes worker processes crash (``os._exit``), hang past their deadline,
-or raise on schedule, and the supervised executor (see
-:mod:`repro.par.executor`) must recover — respawning pools, retrying
-under ``--max-retries``/``--task-timeout``, and quarantining at most
-the poisoned cells (reported with ``"outcome": "quarantined"``).
-Because shards are pure, every *surviving* cell is byte-identical to a
-fault-free serial run; with only transient faults the whole report is.
-``--resume`` (implies ``--cache``) re-executes only the shards a killed
-run didn't checkpoint.
+``--task-timeout SECONDS`` ends the sweep with a timeout when a worker
+chunk overruns its budget, and ``--resume`` (implies ``--cache``)
+re-executes only the shards a failed or killed run didn't checkpoint;
+because shards are pure, the resumed report is byte-identical to an
+uninterrupted one.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -57,13 +50,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.faults.errors import DeliveryError
-from repro.faults.procfault import ProcFaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.par.cache import ResultCache, cache_key, default_cache_dir
 from repro.par.executor import (
     SweepPolicy,
     SweepStats,
-    resolve_jobs,
     sweep_map,
 )
 from repro.faults.plan import (
@@ -369,9 +360,7 @@ def run_chaos(seed: int = 0, smoke: bool = False,
               stats: Optional[SweepStats] = None,
               policy: Optional[SweepPolicy] = None,
               journal_dir: Optional[str] = None,
-              resume: bool = False,
-              proc_faults: Optional[ProcFaultPlan] = None
-              ) -> Dict[str, Any]:
+              resume: bool = False) -> Dict[str, Any]:
     """Run the sweep; returns the (JSON-serializable) report.
 
     ``jobs`` fans shards out over a process pool (default:
@@ -382,16 +371,10 @@ def run_chaos(seed: int = 0, smoke: bool = False,
     fleet telemetry in place for the run ledger.  The report is
     byte-identical across worker counts and cache states.
 
-    ``policy`` / ``journal_dir`` / ``resume`` / ``proc_faults`` go to
-    :func:`repro.par.sweep_map` as they are: without a policy the first
-    failing cell ends the sweep as itself; under a non-strict one (what
-    ``repro chaos`` passes) a poison cell is *quarantined* — reported
-    with ``"outcome": "quarantined"`` and counted in
-    ``summary["quarantined"]`` — rather than aborting the sweep, and
-    every surviving cell stays byte-identical to a fault-free serial
-    run.  The injected plan itself is deliberately **not** embedded in
-    the report: with only transient faults the recovered report is
-    byte-identical to the fault-free one, which is the whole point.
+    ``policy`` / ``journal_dir`` / ``resume`` go to
+    :func:`repro.par.sweep_map` as they are: the first failing cell
+    ends the sweep, and a resumed sweep's report is byte-identical to
+    an uninterrupted one.
     """
     from repro.core.selector import all_strategies
     from repro.machine.presets import resolve_machine
@@ -417,32 +400,18 @@ def run_chaos(seed: int = 0, smoke: bool = False,
     shards = sweep_map(run_chaos_shard, tasks, jobs=jobs,
                        cache=cache, key_fn=key_fn, stats=stats,
                        policy=policy, journal_dir=journal_dir,
-                       resume=resume, proc_faults=proc_faults)
-    quarantined_by_index = {q["index"]: q for q in stats.quarantined}
+                       resume=resume)
 
     violations: List[str] = []
     merged = MetricsRegistry()
     scenarios = []
-    runs = ok_runs = delivery_errors = quarantined = 0
+    runs = ok_runs = delivery_errors = 0
     task_index = 0
     for index in range(n_scenarios):
         results: Dict[str, Any] = {}
         for label in labels:
             shard = shards[task_index]
             runs += 1
-            if shard is None:
-                # the executor gave up on this cell: report
-                # it explicitly (stable fields only — no run counts or
-                # wall facts — so the report stays deterministic)
-                q = quarantined_by_index.get(task_index, {})
-                quarantined += 1
-                results[label] = {
-                    "outcome": "quarantined",
-                    "reason": q.get("reason", "unknown"),
-                    "error": q.get("error", ""),
-                }
-                task_index += 1
-                continue
             violations.extend(shard["violations"])
             merged.merge(shard["metrics"])
             outcome = shard["outcome"]
@@ -470,7 +439,6 @@ def run_chaos(seed: int = 0, smoke: bool = False,
             "runs": runs,
             "ok": ok_runs,
             "delivery_errors": delivery_errors,
-            "quarantined": quarantined,
             "violations": len(violations),
         },
     }
@@ -534,16 +502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="cache shard results under DIR (implies "
                              "--cache)")
-    parser.add_argument("--proc-faults", nargs="?", metavar="SPEC",
-                        default=None, const="crash=1,hang=1,poison=1",
-                        help="inject process-level faults into the sweep "
-                             "workers: comma-separated kind[=count] over "
-                             "crash/hang/raise (transient) and poison "
-                             "(persistent raise); bare flag means "
-                             "'crash=1,hang=1,poison=1'.  Requires "
-                             "--jobs >= 2.  Sampled from --seed.  "
-                             "Injected hangs get --task-timeout 5.0 "
-                             "unless one is given.")
     add_supervision_args(parser)
     parser.add_argument("-o", "--output", default=None,
                         help="write the JSON report here (default stdout)")
@@ -559,34 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cache or args.cache_dir or args.resume:
         cache = ResultCache(directory=args.cache_dir or default_cache_dir())
 
-    policy, journal_dir, resume = supervision_from_args(
-        args, cache, seed=args.seed, strict=False)
-    plan = None
-    if args.proc_faults is not None:
-        if policy is None:
-            # injected faults are recovered under the default policy
-            policy = SweepPolicy(seed=args.seed, strict=False)
-            journal_dir = cache.directory if cache is not None else None
-        from repro.core.selector import all_strategies
-        from repro.faults.procfault import parse_proc_fault_spec
-
-        try:
-            counts = parse_proc_fault_spec(args.proc_faults)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if resolve_jobs(args.jobs) < 2:
-            parser.error("--proc-faults needs --jobs >= 2: injected "
-                         "crashes/hangs must hit *worker* processes, "
-                         "not the supervising one")
-        n_tasks = (3 if args.smoke else 6) * len(all_strategies())
-        if counts["hangs"] and policy.task_timeout is None:
-            # a hang needs a deadline to trip
-            policy = dataclasses.replace(policy, task_timeout=5.0)
-        try:
-            plan = ProcFaultPlan.sample(args.seed, n_tasks, **counts)
-        except ValueError as exc:
-            parser.error(str(exc))
-
+    policy, journal_dir, resume = supervision_from_args(args, cache)
     stats = SweepStats()
     profiler = None
     if args.profile:
@@ -597,7 +528,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_chaos(seed=args.seed, smoke=args.smoke, jobs=args.jobs,
                            cache=cache, machine=args.machine, stats=stats,
                            policy=policy, journal_dir=journal_dir,
-                           resume=resume, proc_faults=plan)
+                           resume=resume)
     finally:
         if profiler is not None:
             profiler.stop()
@@ -610,10 +541,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         ledger_args = {"seed": args.seed, "smoke": args.smoke,
                        "machine": report["machine"]}
-        if args.proc_faults is not None:
-            # the injected plan is a semantic input: a faulted run is a
-            # different experiment than an unfaulted one
-            ledger_args["proc_faults"] = args.proc_faults
         ledger = RunLedger(args.ledger, "chaos", ledger_args,
                            machine=report["machine"])
         write_chaos_ledger(ledger, report, stats=stats, cache=cache)
@@ -632,16 +559,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     summary = report["summary"]
     print(f"chaos: {summary['runs']} runs, {summary['ok']} ok, "
           f"{summary['delivery_errors']} delivery errors, "
-          f"{summary['quarantined']} quarantined, "
           f"{summary['violations']} invariant violations",
           file=sys.stderr)
-    if policy is not None:
-        print(f"chaos: supervised sweep — {stats.retried} retries, "
-              f"{stats.respawns} pool respawns, {stats.resumed} shards "
-              f"resumed, {len(stats.quarantined)} quarantined"
-              + (f"; injected {plan.describe()['faults']}"
-                 if plan is not None and plan.active else ""),
-              file=sys.stderr)
+    if resume:
+        print(f"chaos: {stats.resumed} shards resumed", file=sys.stderr)
     for v in report["violations"]:
         print(f"  VIOLATION: {v}", file=sys.stderr)
     return 0 if report["ok"] else 1

@@ -122,7 +122,9 @@ class RetryPolicy:
     start; retransmit ``k`` waits an additional
     ``min(backoff * 2**k, backoff_cap)``.  After ``max_retries``
     retransmits the transport gives up and the message fails with a
-    :class:`~repro.faults.errors.DeliveryError`.
+    :class:`~repro.faults.errors.DeliveryError`.  This is the simulated
+    transport's policy only, in virtual seconds: a sweep does not retry
+    (see :func:`repro.par.sweep_map`).
     """
 
     timeout: float = 2e-4

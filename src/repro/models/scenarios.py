@@ -288,10 +288,10 @@ def sweep_scenarios(machine: MachineSpec, scenarios: Sequence[Scenario],
     shard totals :func:`repro.par.sweep_map` would, so run ledgers stay
     byte-identical across worker counts.
 
-    ``policy`` / ``journal_dir`` / ``resume`` set the sweep's failure
-    policy and checkpoint journal (watchdog, retry/quarantine,
-    checkpoint–resume — see :func:`repro.par.sweep_map`); any of them
-    disables the joint fast path so they actually apply per shard.
+    ``policy`` / ``journal_dir`` / ``resume`` set the sweep's watchdog
+    deadline and checkpoint journal (see :func:`repro.par.sweep_map`);
+    any of them disables the joint fast path so they actually apply
+    per shard.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     supervised = policy is not None or journal_dir is not None or resume

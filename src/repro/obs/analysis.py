@@ -6,9 +6,8 @@ Subcommands
     One-page summary of a run: header (run id, command, machine, git),
     per-strategy/per-phase cost breakdown, latency histograms with
     p50/p95/p99, cache hit rate, fleet telemetry (workers, chunk
-    heartbeats, stragglers) and — for supervised sweeps — a recovery
-    section (retries, pool respawns, resumed shards, quarantined
-    tasks).
+    heartbeats, stragglers) and — for resumed sweeps — the shards
+    restored from the previous run.
 ``obs diff <A> <B>``
     **Regression attribution** between two ledgers: ranks the
     (scenario, strategy) cells whose cost moved and attributes the
@@ -129,11 +128,7 @@ class LedgerSummary:
         self.sweeps: List[Dict[str, Any]] = []
         self.fleet: List[Dict[str, Any]] = []
         self.heartbeats: List[Dict[str, Any]] = []
-        self.worker_lost: List[Dict[str, Any]] = []
-        self.chunk_retries: List[Dict[str, Any]] = []
-        self.quarantined: List[Dict[str, Any]] = []
         self.resumes: List[Dict[str, Any]] = []
-        self.recovery: Optional[Dict[str, Any]] = None
         self.span_summaries: List[Dict[str, Any]] = []
         self.profile_stacks: List[Dict[str, Any]] = []
         for record in run[1:]:
@@ -158,16 +153,8 @@ class LedgerSummary:
                 self.fleet.append(dict(record))
             elif kind == "heartbeat":
                 self.heartbeats.append(dict(record))
-            elif kind == "worker_lost":
-                self.worker_lost.append(dict(record))
-            elif kind == "chunk_retry":
-                self.chunk_retries.append(dict(record))
-            elif kind == "task_quarantined":
-                self.quarantined.append(dict(record))
             elif kind == "sweep_resume":
                 self.resumes.append(dict(record))
-            elif kind == "recovery":
-                self.recovery = dict(record)
             elif kind == "span_summary":
                 self.span_summaries.append(dict(record))
             elif kind == "profile_stack":
@@ -350,32 +337,9 @@ def render_report(records: Sequence[Mapping[str, Any]],
                          f"min {walls[0]:.3f} s / median "
                          f"{walls[len(walls) // 2]:.3f} s / max "
                          f"{walls[-1]:.3f} s")
-
-    if (summary.recovery or summary.worker_lost or summary.chunk_retries
-            or summary.quarantined or summary.resumes):
-        lines.append("")
-        lines.append("=== recovery ===")
-        rec = summary.recovery or {}
-        lines.append(f"  retried {rec.get('retried', 0)}, pool respawns "
-                     f"{rec.get('respawns', 0)}, resumed shards "
-                     f"{rec.get('resumed', 0)}, quarantined "
-                     f"{rec.get('quarantined', len(summary.quarantined))}")
         for ev in summary.resumes:
             lines.append(f"  resumed: {ev.get('done')}/{ev.get('tasks')} "
                          f"shards restored from a previous run")
-        for ev in summary.worker_lost:
-            span = (f"tasks {ev.get('lo')}-{ev.get('hi')}"
-                    if ev.get("lo") is not None else "?")
-            lines.append(f"  worker lost ({ev.get('reason')}): {span}")
-        for ev in summary.chunk_retries:
-            lines.append(f"  {ev.get('action', 'retry')} "
-                         f"({ev.get('reason')}): tasks "
-                         f"{ev.get('lo')}-{ev.get('hi')}"
-                         + (f", attempt {ev['attempt']}"
-                            if ev.get("attempt") is not None else ""))
-        for ev in summary.quarantined:
-            lines.append(f"  QUARANTINED task {ev.get('index')} "
-                         f"({ev.get('reason')}): {ev.get('error')}")
     return "\n".join(lines)
 
 

@@ -17,14 +17,12 @@ runs with the same seed/args produce byte-identical ledgers at any
   pids, host facts, measured wall seconds — which is excluded from the
   deterministic view;
 * records flagged ``"volatile": true`` (worker heartbeats, sampling
-  profiler stacks, cache behaviour, recovery actions like
-  ``worker_lost``/``chunk_retry``/``sweep_resume``, and other
+  profiler stacks, cache behaviour, ``sweep_resume``, and other
   execution-shape facts like the worker count) are excluded entirely.
 
-The one recovery record that **is** deterministic is
-``task_quarantined``: for a given process-fault plan the quarantine set
-is a pure function of the plan (independent of worker count, chunk
-geometry or resume), so it belongs to the result, not the execution.
+A sweep either finishes every shard or ends with an exception before
+its ledger is written, so a resumed run and an uninterrupted one record
+the same result and fingerprint identically.
 
 :func:`deterministic_view` applies both rules; :func:`ledger_fingerprint`
 hashes the result, which is what the byte-identity tests compare.
@@ -86,9 +84,6 @@ _REQUIRED_FIELDS = {
     "cache_corrupt": ("key",),
     "cache_repair": ("key",),
     "heartbeat": ("chunk",),
-    "worker_lost": ("reason",),
-    "chunk_retry": ("reason",),
-    "task_quarantined": ("index", "reason"),
     "sweep_resume": ("done", "tasks"),
     "span_summary": ("name", "count", "total_s"),
     "profile_stack": ("stack", "count"),
@@ -248,11 +243,8 @@ class RunLedger:
         the worker count, chunking and per-chunk heartbeats depend on
         the execution shape (worker count, cache warmth, whether the
         run was resumed) and live in volatile records or the wall
-        envelope.  Recovery telemetry follows the same split: a
-        ``task_quarantined`` record is a *result* — the shard is
-        missing, deterministically, for a given fault plan — while
-        ``worker_lost`` / ``chunk_retry`` / ``sweep_resume`` describe
-        how this particular execution got there and are volatile.
+        envelope, and so does ``sweep_resume`` — how many shards a
+        resumed run restored rather than executed.
         """
         self.event(name, tasks=stats.tasks,
                    wall={"executed": stats.executed,
@@ -267,21 +259,9 @@ class RunLedger:
                        wall={"wall_s": ev.get("wall_s"),
                              "pid": ev.get("pid")},
                        **fields)
-        recovery = getattr(stats, "recovery_events", None) or ()
-        for ev in recovery:
-            fields = {k: v for k, v in ev.items() if k != "kind"}
-            if ev.get("kind") == "task_quarantined":
-                self.event("task_quarantined", **fields)
-            else:
-                self.event(ev["kind"], volatile=True, **fields)
-        counters = {
-            "retried": getattr(stats, "retried", 0),
-            "respawns": getattr(stats, "respawns", 0),
-            "resumed": getattr(stats, "resumed", 0),
-            "quarantined": len(getattr(stats, "quarantined", ()) or ()),
-        }
-        if any(counters.values()):
-            self.event("recovery", volatile=True, **counters)
+        if stats.resumed:
+            self.event("sweep_resume", volatile=True, done=stats.resumed,
+                       tasks=stats.tasks)
 
     def span_summaries(self, tracer: Any, top: int = 0) -> None:
         """Record per-(track-kind, name) span aggregates of a tracer.

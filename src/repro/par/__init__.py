@@ -7,12 +7,12 @@ count); :class:`~repro.par.cache.ResultCache` skips shards whose inputs
 hash to an already-computed result.  See ``docs/api.md`` ("Parallel
 sweeps & result cache").
 
-There is one executor: without a
-:class:`~repro.par.executor.SweepPolicy` the first failure ends the
-sweep as itself; with one, lost and hung workers are respawned and
-failing shards retried, then quarantined.  Shards go to the cache as
-they finish, ``journal_dir``/``resume`` add checkpoint–resume; see
-``docs/resilience.md`` ("Fault-tolerant sweeps").
+There is one executor and one failure rule: the first failure — an
+exception from a shard, a lost worker, or a chunk past the
+:class:`~repro.par.executor.SweepPolicy` deadline — ends the sweep.
+Shards go to the cache as they finish, and ``journal_dir``/``resume``
+re-run only the shards a failed or killed sweep left missing; see
+``docs/resilience.md`` ("Fault-tolerant sweep execution").
 """
 
 from repro.par.cache import (
@@ -25,12 +25,10 @@ from repro.par.cache import (
     stable_fingerprint,
 )
 from repro.par.executor import (
-    DEFAULT_SWEEP_RETRY,
     ENV_JOBS,
     ENV_START_METHOD,
     STRAGGLER_FACTOR,
     SweepPolicy,
-    SweepQuarantineError,
     SweepStats,
     default_start_method,
     resolve_jobs,
@@ -46,7 +44,6 @@ from repro.par.journal import (
 
 __all__ = [
     "CACHE_SCHEMA",
-    "DEFAULT_SWEEP_RETRY",
     "JOURNAL_SCHEMA",
     "STRAGGLER_FACTOR",
     "DEFAULT_CACHE_DIR",
@@ -56,7 +53,6 @@ __all__ = [
     "ResultCache",
     "SweepJournal",
     "SweepPolicy",
-    "SweepQuarantineError",
     "SweepStats",
     "cache_key",
     "default_cache_dir",

@@ -3,9 +3,8 @@
 Every expensive entry point in the repro (chaos sweeps, figure grids,
 the SpMV suite, scenario model sweeps, atlas builds) is a loop over
 **independent, pure** shard evaluations.  :func:`sweep_map` is the one
-fan-out primitive they all share, and it has **one executor**: a
-supervised gather loop (:class:`_Supervisor`) whose arguments set the
-failure policy.
+fan-out primitive they all share, and it has **one executor**: one
+gather loop (:class:`_Supervisor`) at every ``jobs`` value.
 
 * **Serial is the same loop** — at ``jobs=1`` (or with at most one
   shard to run) it runs all pending shards in process as one chunk: no
@@ -32,33 +31,13 @@ failure policy.
   ``journal_dir`` a :class:`~repro.par.journal.SweepJournal` line
   follows, so a killed process can ``resume=True`` and re-execute only
   the missing shards, bit-identical to a fault-free serial run.
-* **Failure policy** — without a :class:`SweepPolicy` the policy is
-  *zero*: the first failure ends the sweep as itself (``fn``'s
-  exception re-raised with its own type at any ``jobs``; a lost worker
-  is ``BrokenProcessPool``).  With one, the fan-out is fault tolerant
-  instead of all-or-nothing:
-
-  - a **watchdog** enforces per-chunk wall-clock deadlines
-    (``task_timeout`` seconds per task); a chunk past its deadline is
-    declared hung, the pool is killed and respawned, and every innocent
-    in-flight chunk is resubmitted without penalty;
-  - a **lost worker** (``BrokenProcessPool`` — e.g. a child that
-    ``os._exit``'s) likewise respawns the pool; the chunks that were
-    in flight are re-run one at a time in *isolation* so guilt is
-    attributed exactly (an innocent chunk that merely shared the pool
-    is never penalized);
-  - a guilty multi-task chunk is **bisected** — split in half and
-    re-run — until the poison task is isolated;
-  - a guilty single task is retried under the plan's bounded, seeded
-    exponential-backoff :class:`~repro.faults.plan.RetryPolicy` and
-    finally **quarantined**: recorded (index, cache key, reason,
-    error) in :attr:`SweepStats.quarantined` and, in strict mode,
-    re-raised at the end as :class:`SweepQuarantineError` — the sweep
-    always completes with an explicit completeness manifest.
-
-  Deterministic *process-level* fault injection for all of the above
-  lives in :mod:`repro.faults.procfault` (crash / hang / raise on
-  seeded schedules), driven by ``python -m repro chaos --proc-faults``.
+* **One failure rule** — the first failure ends the sweep at any
+  ``jobs``: ``fn``'s exception is re-raised with its own type, a lost
+  worker is ``BrokenProcessPool``, and under a :class:`SweepPolicy`
+  with a ``task_timeout`` a chunk past its deadline kills the pool and
+  raises ``TimeoutError``.  Shards are pure, so a failed one fails the
+  same way again: recovery is the cache plus ``resume=True``, which
+  re-runs only the shards that are missing.
 
 Worker count resolution (:func:`resolve_jobs`): explicit ``jobs``
 argument, else ``$REPRO_JOBS``, else 1.
@@ -73,15 +52,11 @@ import os
 import statistics
 import time
 import traceback
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
-                                ProcessPoolExecutor, wait)
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.faults.plan import RetryPolicy
-from repro.faults.procfault import ProcFaultError
 from repro.par.cache import stable_fingerprint
 from repro.par.journal import SweepJournal, journal_path
 
@@ -94,11 +69,6 @@ ENV_JOBS = "REPRO_JOBS"
 
 #: environment variable overriding the multiprocessing start method
 ENV_START_METHOD = "REPRO_START_METHOD"
-
-#: supervisor retry defaults — wall-clock scale (the simulated
-#: transport's :class:`RetryPolicy` defaults are virtual-time scale)
-DEFAULT_SWEEP_RETRY = RetryPolicy(timeout=30.0, backoff=0.05,
-                                  backoff_cap=1.0, max_retries=2)
 
 #: extra wall seconds granted on top of a chunk's deadline, per start
 #: method — spawn/forkserver workers re-import the package before the
@@ -161,30 +131,18 @@ def shard_tasks(n: int, jobs: int,
 
 @dataclass(frozen=True)
 class SweepPolicy:
-    """Failure policy of one :func:`sweep_map` call (``None`` there is
-    the zero policy: the first failure ends the sweep as itself).
+    """Watchdog of one :func:`sweep_map` call.
 
-    ``task_timeout`` is the per-task wall-clock budget: a chunk of
-    ``k`` tasks is declared hung ``task_timeout * k`` (plus a start-
-    method spin-up grace) seconds after submission, its workers are
-    killed and the chunk is re-run.  ``None`` disables the watchdog
-    (lost workers are still detected and respawned).
-
-    ``retry`` reuses the fault plan's
-    :class:`~repro.faults.plan.RetryPolicy` semantics for *resubmission*:
-    retry ``k`` of a guilty single task waits
-    ``min(backoff * 2**k, backoff_cap)`` seconds (jittered by a stream
-    seeded from ``seed``), and after ``max_retries`` retries the task is
-    quarantined.  ``strict`` re-raises quarantined tasks at the end of
-    the sweep as :class:`SweepQuarantineError`; non-strict sweeps leave
-    ``None`` at the quarantined indices and report them via
-    :attr:`SweepStats.quarantined`.
+    ``task_timeout`` is the per-task wall-clock budget: a pool chunk of
+    ``k`` tasks still running ``task_timeout * k`` seconds (plus a
+    start-method spin-up grace) after submission ends the sweep with
+    ``TimeoutError``, its pool killed and reaped.  ``None`` (the
+    default) sets no deadline, so ``SweepPolicy()`` is the same as no
+    policy.  An in-process sweep (``jobs=1``) has no watchdog: there is
+    no second process to stop its one chunk.
     """
 
     task_timeout: Optional[float] = None
-    retry: RetryPolicy = DEFAULT_SWEEP_RETRY
-    seed: int = 0
-    strict: bool = True
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and not (
@@ -192,45 +150,6 @@ class SweepPolicy:
             raise ValueError(
                 f"SweepPolicy.task_timeout must be a finite number > 0 "
                 f"or None, got {self.task_timeout!r}")
-        if not isinstance(self.retry, RetryPolicy):
-            raise ValueError(
-                f"SweepPolicy.retry must be a RetryPolicy, got "
-                f"{self.retry!r}")
-
-    def backoff_delay(self, attempt: int,
-                      rng: Optional[np.random.Generator] = None) -> float:
-        """Seconds to wait before retry ``attempt`` (0-based)."""
-        delay = min(self.retry.backoff * (2 ** attempt),
-                    self.retry.backoff_cap)
-        if rng is not None and delay > 0.0:
-            delay *= 0.5 + rng.random()  # seeded jitter in [0.5, 1.5)
-        return delay
-
-    def rng(self) -> np.random.Generator:
-        """Backoff-jitter stream (``0xFB`` prefix: disjoint from the
-        fault streams' ``0xFA`` and the bare noise streams)."""
-        return np.random.default_rng(np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(0xFB,)))
-
-
-class SweepQuarantineError(RuntimeError):
-    """A strict-policy sweep finished with quarantined tasks.
-
-    ``quarantined`` holds the completeness manifest entries
-    (``{"index", "key", "reason", "error"}``) so callers can still see
-    exactly which shards are missing and why.
-    """
-
-    def __init__(self, quarantined: Sequence[Dict[str, Any]]) -> None:
-        self.quarantined = [dict(q) for q in quarantined]
-        head = "; ".join(
-            f"task {q['index']} [{q['reason']}] {q['error']}"
-            for q in self.quarantined[:4])
-        more = (f" (+{len(self.quarantined) - 4} more)"
-                if len(self.quarantined) > 4 else "")
-        super().__init__(
-            f"{len(self.quarantined)} task(s) quarantined after "
-            f"exhausting retries: {head}{more}")
 
 
 @dataclass
@@ -244,15 +163,9 @@ class SweepStats:
     ``wall_s`` is the chunk's measured in-worker wall clock and ``pid``
     the worker that ran it.  Task counts are deterministic; wall
     seconds and pids are not (the run ledger records them inside its
-    non-deterministic envelope).
-
-    Sweeps that had something to recover from additionally fill the
-    **recovery telemetry**: ``retried`` / ``respawns`` / ``resumed``
-    counters, the ``quarantined`` completeness manifest (in task-index
-    order), and ``recovery_events`` — one record per supervision action
-    (``worker_lost``, ``chunk_retry``, ``task_quarantined``,
-    ``sweep_resume``) that the run ledger forwards (quarantines
-    deterministically, the rest as volatile execution-shape facts).
+    non-deterministic envelope).  ``resumed`` counts the shards that a
+    previous journaled run completed and this one restored from the
+    cache.
     """
 
     tasks: int = 0          # total shards requested
@@ -260,24 +173,13 @@ class SweepStats:
     cache_hits: int = 0     # shards served from the cache
     jobs: int = 0           # resolved worker count
     chunks: int = 0         # work units submitted to the pool (0 = serial)
-    retried: int = 0        # chunk/task resubmissions (needs a policy)
-    respawns: int = 0       # pool respawns after lost/hung workers
     resumed: int = 0        # shards restored from a prior journaled run
-    obs_payloads: List[Any] = field(default_factory=list)
     worker_events: List[Dict[str, Any]] = field(default_factory=list)
-    quarantined: List[Dict[str, Any]] = field(default_factory=list)
-    recovery_events: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of shards served from the cache (0.0 when empty)."""
         return self.cache_hits / self.tasks if self.tasks else 0.0
-
-    def recovery(self, kind: str, **fields: Any) -> Dict[str, Any]:
-        """Append (and return) one recovery-telemetry record."""
-        record = {"kind": kind, **fields}
-        self.recovery_events.append(record)
-        return record
 
     def stragglers(self, factor: float = STRAGGLER_FACTOR
                    ) -> List[Dict[str, Any]]:
@@ -302,81 +204,52 @@ class SweepStats:
                 if ev["wall_s"] >= factor * median]
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary (fleet details under ``"fleet"``,
-        supervision details under ``"recovery"``)."""
+        """JSON-ready summary (fleet details under ``"fleet"``)."""
         return {
             "tasks": self.tasks,
             "executed": self.executed,
             "cache_hits": self.cache_hits,
             "cache_hit_rate": self.cache_hit_rate,
+            "resumed": self.resumed,
             "fleet": {
                 "jobs": self.jobs,
                 "chunks": self.chunks,
                 "heartbeats": [dict(ev) for ev in self.worker_events],
                 "stragglers": [ev["chunk"] for ev in self.stragglers()],
             },
-            "recovery": {
-                "retried": self.retried,
-                "respawns": self.respawns,
-                "resumed": self.resumed,
-                "quarantined": [dict(q) for q in self.quarantined],
-                "events": [dict(ev) for ev in self.recovery_events],
-            },
         }
 
 
 def _run_chunk_guarded(fn: Callable[[Any], Any],
                        chunk: List[Tuple[int, Any]],
-                       faults: Any,
-                       runs: Dict[int, int],
-                       fail_fast: bool,
                        on_done: Optional[Callable[[int, Any], None]] = None
-                       ) -> Tuple[List[Tuple[int, bool, Any, Optional[str]]],
+                       ) -> Tuple[List[Tuple[int, Any]],
+                                  Optional[Tuple[BaseException, str]],
                                   Dict[str, Any]]:
-    """Worker body: per-task outcomes plus the chunk's telemetry.
+    """Worker body: ``(values, failure, telemetry)`` of one chunk.
 
-    Each task yields ``(index, ok, value, error)`` — a task that raises
-    is *recorded*, not propagated, so one poison task cannot discard its
-    chunk-mates' results and an ``OSError`` from ``fn`` can never be
-    mistaken for a collapsed result transport.  Under the zero policy
-    (``fail_fast``) the chunk stops at its first failure and the record
-    carries the exception itself (as ``value``, its traceback text as
-    ``error``) for the gather loop to re-raise.  ``faults`` (a
-    :class:`~repro.faults.procfault.ProcFaultPlan` or ``None``) injects
-    process-level failures first: ``crash`` exits the worker without
-    cleanup, ``hang`` sleeps past any reasonable deadline, ``raise``
-    records an injected error.  ``runs`` carries each task's 1-based
-    evaluation count so transient schedules can clear on retry.
-    ``on_done(index, value)`` runs after each task that succeeds: how
-    an inline sweep checkpoints shard by shard inside its one chunk.  The
-    telemetry (task span, measured wall seconds, worker pid) feeds
-    :attr:`SweepStats.worker_events`.
+    ``values`` holds ``(index, value)`` for each task that finished;
+    the chunk stops at the first task that raises, and ``failure`` is
+    then that exception with its traceback text (else ``None``).
+    Returning the failure instead of raising it lets the gather loop
+    keep the chunk-mates that finished before it ends the sweep.
+    ``on_done(index, value)`` runs after
+    each task that succeeds: how an inline sweep checkpoints shard by
+    shard inside its one chunk.  The telemetry (task span, measured
+    wall seconds, worker pid) feeds :attr:`SweepStats.worker_events`.
     """
     t0 = time.perf_counter()
-    outcomes: List[Tuple[int, bool, Any, Optional[str]]] = []
+    values: List[Tuple[int, Any]] = []
+    failure: Optional[Tuple[BaseException, str]] = None
     for index, task in chunk:
         try:
-            if faults is not None:
-                action = faults.action(index, runs[index])
-                if action == "crash":
-                    os._exit(faults.exit_code)
-                elif action == "hang":
-                    time.sleep(faults.hang_seconds)
-                elif action == "raise":
-                    raise ProcFaultError(f"injected raise (task {index})")
             value = fn(task)
-        except BaseException as exc:  # noqa: BLE001 — quarantine wants all
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            if fail_fast:
-                outcomes.append((index, False, exc, traceback.format_exc()))
-                break
-            outcomes.append((index, False, None,
-                             f"{type(exc).__name__}: {exc}"))
-        else:
-            if on_done is not None:
-                on_done(index, value)
-            outcomes.append((index, True, value, None))
+        except Exception as exc:  # noqa: BLE001 — re-raised when gathered
+            failure = (exc, traceback.format_exc())
+            break
+        if on_done is not None:
+            on_done(index, value)
+        values.append((index, value))
     telemetry = {
         "lo": chunk[0][0],
         "hi": chunk[-1][0],
@@ -384,7 +257,7 @@ def _run_chunk_guarded(fn: Callable[[Any], Any],
         "wall_s": time.perf_counter() - t0,
         "pid": os.getpid(),
     }
-    return outcomes, telemetry
+    return values, failure, telemetry
 
 
 def _submit_inline(call: Callable[..., Any], *args: Any) -> Future:
@@ -414,192 +287,89 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class _Supervisor:
-    """State machine for one fan-out (see :func:`sweep_map`).
+    """Gather loop of one fan-out (see :func:`sweep_map`).
 
-    ``policy=None`` is the zero policy: the first failure — ``fn``'s
-    exception or a lost worker — is re-raised where it is seen, so none
-    of the attribution below runs.  ``jobs == 1`` or at most one pending
-    task runs *inline*: all of ``pending`` as one chunk through
-    :func:`_submit_inline`, retries as single-task chunks the same way.
-
-    Failure attribution protocol: when the pool breaks (a worker died)
-    every in-flight chunk is *suspect* — guilt is unknowable pool-wide —
-    so suspects re-run one at a time in isolation.  A chunk that fails
-    alone is guilty: bisected while it holds more than one task,
-    retried under the policy's backoff once it is a single task, and
-    quarantined when retries exhaust.  A chunk that succeeds alone was
-    an innocent bystander and is never penalized, which keeps the
-    quarantine set a pure function of the fault schedule (not of the
-    worker count or chunk geometry).
+    ``jobs == 1`` or at most one pending task runs *inline*: all of
+    ``pending`` as one chunk through :func:`_submit_inline`.  A pool
+    never holds more chunks than workers, so every in-flight chunk is
+    running and its deadline measures its own work, not time spent
+    queued.  Whatever fails first leaves :meth:`run` as itself, and its
+    ``finally`` kills and reaps the pool.
     """
 
     def __init__(self, fn: Callable[[Any], Any],
                  pending: List[Tuple[int, Any]], jobs: int,
                  chunk_size: Optional[int], start_method: str,
                  policy: Optional[SweepPolicy], stats: SweepStats,
-                 proc_faults: Any,
                  checkpoint: Callable[[int, Any], None]) -> None:
         self.fn = fn
         self.jobs = jobs
         self.start_method = start_method
-        self.policy = policy
+        self.task_timeout = (policy.task_timeout if policy is not None
+                             else None)
         self.stats = stats
-        self.faults = proc_faults
         self.checkpoint = checkpoint
-        self.rng = policy.rng() if policy is not None else None
         self.inline = jobs == 1 or len(pending) <= 1
         if self.inline:
             chunk_size = len(pending)  # all of it as one chunk
         spans = shard_tasks(len(pending), jobs, chunk_size)
         self.queue: collections.deque = collections.deque(
             pending[lo:hi] for lo, hi in spans)
-        self.suspects: collections.deque = collections.deque()
-        self.inflight: Dict[Any, List[Tuple[int, Any]]] = {}
-        self.deadlines: Dict[Any, float] = {}
-        self.runs: Dict[int, int] = {index: 0 for index, _ in pending}
-        self.attempts: Dict[int, int] = {index: 0 for index, _ in pending}
+        self.inflight: Dict[Future, List[Tuple[int, Any]]] = {}
+        self.deadlines: Dict[Future, float] = {}
         self.gathered = 0
         self.pool: Optional[ProcessPoolExecutor] = None
         self.grace = POOL_SPINUP_GRACE.get(start_method,
                                            DEFAULT_SPINUP_GRACE)
 
-    # -- pool lifecycle -----------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self.pool is None:
-            ctx = multiprocessing.get_context(self.start_method)
-            self.pool = ProcessPoolExecutor(max_workers=self.jobs,
-                                            mp_context=ctx)
-        return self.pool
-
-    def _pool_lost(self, lost: List[List[Tuple[int, Any]]],
-                   reason: str) -> List[List[Tuple[int, Any]]]:
-        """Kill the pool the ``lost`` chunks died or hung in (the next
-        submit builds a new one); returns the bystanders killed with it."""
-        bystanders = list(self.inflight.values())
-        self.inflight.clear()
-        self.deadlines.clear()
-        if self.pool is not None:
-            _kill_pool(self.pool)
-            self.pool = None
-        self.stats.respawns += 1
-        for chunk in lost:
-            self.stats.recovery("worker_lost", reason=reason,
-                                lo=chunk[0][0], hi=chunk[-1][0],
-                                tasks=len(chunk))
-        return bystanders
-
-    def _submit(self, chunk: List[Tuple[int, Any]]) -> bool:
-        """Submit one chunk; ``False`` if the pool broke under it."""
-        submit = (_submit_inline if self.inline
-                  else self._ensure_pool().submit)
-        # inline checkpoints per task: a kill mid-chunk keeps what finished
-        on_done = self.checkpoint if self.inline else None
-        runs = {index: self.runs[index] + 1 for index, _ in chunk}
-        try:
-            future = submit(_run_chunk_guarded, self.fn, chunk, self.faults,
-                            runs, self.policy is None, on_done)
-        except BrokenExecutor:
-            # A worker died since the last gather, so this chunk never
-            # ran: back to the head of the queue, run counters untouched.
-            # The in-flight futures carry the loss; _step attributes it.
-            if self.policy is None or not self.inflight:
-                raise
-            self.queue.appendleft(chunk)
-            return False
-        self.runs.update(runs)
-        self.inflight[future] = chunk
-        if not self.inline:
+    def _submit(self, chunk: List[Tuple[int, Any]]) -> None:
+        if self.inline:
+            # inline checkpoints per task: a kill mid-chunk keeps what
+            # finished
+            future = _submit_inline(_run_chunk_guarded, self.fn, chunk,
+                                    self.checkpoint)
+        else:
+            if self.pool is None:
+                ctx = multiprocessing.get_context(self.start_method)
+                self.pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                                mp_context=ctx)
+            future = self.pool.submit(_run_chunk_guarded, self.fn, chunk)
             self.stats.chunks += 1
-        if self.policy is not None and self.policy.task_timeout is not None:
-            self.deadlines[future] = (
-                time.monotonic()
-                + self.policy.task_timeout * len(chunk) + self.grace)
-        return True
+            if self.task_timeout is not None:
+                self.deadlines[future] = (
+                    time.monotonic()
+                    + self.task_timeout * len(chunk) + self.grace)
+        self.inflight[future] = chunk
 
-    # -- failure handling ---------------------------------------------------
-    def _penalize(self, chunk: List[Tuple[int, Any]], reason: str,
-                  error: Optional[str] = None) -> None:
-        """A chunk failed *attributably*: bisect or retry/quarantine."""
-        if len(chunk) > 1:
-            mid = len(chunk) // 2
-            self.stats.recovery("chunk_retry", reason=reason,
-                                action="bisect", lo=chunk[0][0],
-                                hi=chunk[-1][0], tasks=len(chunk))
-            self.stats.retried += 1
-            self.queue.appendleft(chunk[mid:])
-            self.queue.appendleft(chunk[:mid])
-            return
-        index = chunk[0][0]
-        self.attempts[index] += 1
-        attempt = self.attempts[index]
-        message = error or f"worker {reason} while running task {index}"
-        if attempt > self.policy.retry.max_retries:
-            # sweep_map orders the manifest and emits its events
-            self.stats.quarantined.append({"index": index, "key": None,
-                                           "reason": reason,
-                                           "error": message})
-            return
-        self.stats.retried += 1
-        self.stats.recovery("chunk_retry", reason=reason, action="retry",
-                            lo=index, hi=index, tasks=1, attempt=attempt)
-        delay = self.policy.backoff_delay(attempt - 1, self.rng)
-        if delay > 0.0:
-            time.sleep(delay)
-        self.queue.appendleft(list(chunk))
-
-    # -- gather -------------------------------------------------------------
-    def _absorb(self, chunk: List[Tuple[int, Any]],
-                outcomes: List[Tuple[int, bool, Any, Optional[str]]],
+    def _absorb(self, values: List[Tuple[int, Any]],
+                failure: Optional[Tuple[BaseException, str]],
                 telemetry: Dict[str, Any]) -> None:
+        if not self.inline:  # inline: done as each task finished
+            for index, value in values:
+                self.checkpoint(index, value)
+        if failure is not None:
+            exc, text = failure
+            if self.inline:
+                raise exc
+            # pickling dropped the worker's traceback: chain its text
+            raise exc from RuntimeError(f"in the worker:\n{text}")
         self.gathered += 1
-        task_by_index = dict(chunk)
-        for index, ok, value, error in outcomes:
-            if ok:
-                if not self.inline:  # inline: done as the task finished
-                    self.checkpoint(index, value)
-            elif self.policy is None:
-                # zero policy: the first failure ends the sweep as itself
-                # (pickling dropped a worker's traceback: chain its text)
-                if self.inline:
-                    raise value
-                raise value from RuntimeError(f"in the worker:\n{error}")
-            else:
-                self._penalize([(index, task_by_index[index])],
-                               "error", error)
         self.stats.worker_events.append({
             "chunk": self.gathered - 1, "done": self.gathered,
-            "total": self.gathered + len(self.queue)
-            + len(self.suspects) + len(self.inflight), **telemetry,
+            "total": self.gathered + len(self.queue) + len(self.inflight),
+            **telemetry,
         })
 
-    # -- main loop ----------------------------------------------------------
     def run(self) -> None:
         try:
-            while self.queue or self.suspects or self.inflight:
-                self._top_up()
-                if self.inflight:
-                    self._step()
+            while self.queue or self.inflight:
+                while self.queue and len(self.inflight) < self.jobs:
+                    self._submit(self.queue.popleft())
+                self._step()
         finally:
             if self.pool is not None:
                 _kill_pool(self.pool)
                 self.pool = None
-
-    def _top_up(self) -> None:
-        """Keep exactly the runnable set submitted.
-
-        Submitting no more chunks than workers means every in-flight
-        chunk is actually *running*, so watchdog deadlines and crash
-        attribution never implicate a chunk that was merely queued.
-        While suspects exist they run strictly one at a time, alone in
-        the pool, so a repeat failure identifies the guilty chunk.
-        """
-        if self.suspects:
-            if not self.inflight:
-                self._submit(self.suspects.popleft())
-            return
-        while self.queue and len(self.inflight) < self.jobs:
-            if not self._submit(self.queue.popleft()):
-                break
 
     def _step(self) -> None:
         timeout = None
@@ -608,45 +378,20 @@ class _Supervisor:
                           - time.monotonic())
         done, _ = wait(list(self.inflight), timeout=timeout,
                        return_when=FIRST_COMPLETED)
-        broken: List[List[Tuple[int, Any]]] = []
         for future in done:
-            chunk = self.inflight.pop(future)
+            self.inflight.pop(future)
             self.deadlines.pop(future, None)
-            try:
-                outcomes, telemetry = future.result()
-            except (BrokenExecutor, OSError):
-                # the worker died (or the result transport collapsed
-                # with it) — guilt is attributed below, not here
-                if self.policy is None:
-                    raise
-                broken.append(chunk)
-                continue
-            self._absorb(chunk, outcomes, telemetry)
-        if broken:
-            # The pool is dead: every still-in-flight chunk was killed
-            # with it.  A lone broken chunk with no bystanders is
-            # guilty by elimination; otherwise nobody can be blamed
-            # pool-wide, so all of them re-run in isolation.
-            bystanders = self._pool_lost(broken, "crash")
-            if len(broken) == 1 and not bystanders:
-                self._penalize(broken[0], "crash")
-            else:
-                self.suspects.extend(broken + bystanders)
-            return
-        if self.deadlines:
-            now = time.monotonic()
-            expired = [future for future, due in self.deadlines.items()
-                       if now >= due and not future.done()]
-            if expired:
-                # chunks past their own deadline are hung (each deadline
-                # already budgets for the chunk's size); the rest were
-                # innocent pool-mates and re-run without penalty
-                guilty = [self.inflight.pop(future) for future in expired]
-                bystanders = self._pool_lost(guilty, "hang")
-                for chunk in guilty:
-                    self._penalize(chunk, "hang")
-                for chunk in bystanders:
-                    self.queue.appendleft(chunk)
+            # a lost worker raises BrokenProcessPool here
+            self._absorb(*future.result())
+        now = time.monotonic()
+        for future, due in self.deadlines.items():
+            if now >= due and not future.done():
+                chunk = self.inflight[future]
+                raise TimeoutError(
+                    f"sweep tasks {chunk[0][0]}-{chunk[-1][0]} ran past "
+                    f"their deadline: {self.task_timeout:g} s per task x "
+                    f"{len(chunk)} tasks + {self.grace:g} s pool spin-up "
+                    f"grace")
 
 
 def sweep_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
@@ -658,31 +403,25 @@ def sweep_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
               stats: Optional[SweepStats] = None,
               policy: Optional[SweepPolicy] = None,
               journal_dir: Optional[str] = None,
-              resume: bool = False,
-              proc_faults: Optional[Any] = None) -> List[Any]:
+              resume: bool = False) -> List[Any]:
     """``[fn(t) for t in tasks]`` with optional fan-out and caching.
 
     The result list is always in task order and bit-identical across
     worker counts (``fn`` must be a pure function of its task).  With
     ``jobs > 1``, ``fn`` must be module-level and each task picklable.
-    Every call runs the same gather loop; the arguments set what it
-    does about a failure and what it writes down:
 
-    * ``policy=None`` is the **zero policy**: the first failure ends the
-      sweep as itself — ``fn``'s exception re-raised with its own type
-      at any ``jobs`` (an ``OSError`` from ``fn`` is never read as a
-      lost worker), a crashed worker is ``BrokenProcessPool``, a hung
-      one hangs.  Under a :class:`SweepPolicy` lost and hung workers are
-      respawned, failing chunks bisected, poison tasks retried and then
-      quarantined.
+    * The first failure ends the sweep at any ``jobs``: ``fn``'s
+      exception is re-raised with its own type (an ``OSError`` from
+      ``fn`` is never read as a lost worker), a lost worker is
+      ``BrokenProcessPool``, and a pool chunk past the deadline of
+      ``policy.task_timeout`` is ``TimeoutError``.  With no policy, or
+      ``SweepPolicy()``, there is no deadline.
     * Each completed shard is ``put`` into ``cache`` as it is gathered
       (at ``jobs=1``: as each task finishes), so a sweep that dies
       keeps what it finished; with ``journal_dir``
       a :class:`~repro.par.journal.SweepJournal` line follows each put,
       and ``resume=True`` (requires ``cache`` and ``journal_dir``)
       re-executes only the shards a previous run did not complete.
-    * ``proc_faults`` injects deterministic process-level failures
-      (tests / ``repro chaos --proc-faults``).
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
@@ -698,17 +437,19 @@ def sweep_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     results: List[Any] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
     pending: List[Tuple[int, Any]] = []
+    hits = set()
     for index, task in enumerate(tasks):
         if cache is not None:
             keys[index] = key_fn(task)
             hit, results[index] = cache.lookup(keys[index])  # miss: None
             if hit:
+                hits.add(index)
                 continue
         pending.append((index, task))
 
     stats.tasks = len(tasks)
     stats.executed = len(pending)
-    stats.cache_hits = len(tasks) - len(pending)
+    stats.cache_hits = len(hits)
     stats.jobs = jobs
     stats.chunks = 0
 
@@ -718,13 +459,9 @@ def sweep_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
             {"keys": keys} if cache is not None else {"n": len(tasks)})
         journal = SweepJournal(journal_path(journal_dir, sweep_id),
                                sweep_id, tasks=len(tasks), resume=resume)
-        if journal.resumed:
-            # shards the journal marks done *and* the cache restored
-            stats.resumed = sum(results[index] is not None
-                                for index in journal.done
-                                if 0 <= index < len(tasks))
-            stats.recovery("sweep_resume", done=stats.resumed,
-                           tasks=len(tasks))
+        # shards the journal marks done *and* the cache restored (a
+        # journaled shard whose entry has gone runs again)
+        stats.resumed = len(journal.done & hits)
 
     def checkpoint(index: int, value: Any) -> None:
         # incremental: a kill after this line never loses the shard
@@ -737,25 +474,10 @@ def sweep_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     try:
         _Supervisor(fn, pending, jobs, chunk_size,
                     start_method or default_start_method(), policy, stats,
-                    proc_faults, checkpoint).run()
-        # index order: which poison task exhausts its retries first
-        # depends on the chunk geometry, the manifest must not
-        stats.quarantined.sort(key=lambda record: record["index"])
-        for record in stats.quarantined:
-            record["key"] = keys[record["index"]]
-            event = stats.recovery(
-                "task_quarantined", index=record["index"],
-                reason=record["reason"], error=record["error"])
-            if journal is not None:
-                journal.event(key=record["key"], **event)
+                    checkpoint).run()
         if journal is not None:
-            journal.finish(
-                completed=len(tasks) - len(stats.quarantined),
-                quarantined=[q["index"] for q in stats.quarantined])
+            journal.finish()
     finally:
         if journal is not None:
             journal.close()
-
-    if stats.quarantined and policy.strict:
-        raise SweepQuarantineError(stats.quarantined)
     return results

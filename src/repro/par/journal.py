@@ -1,14 +1,16 @@
 """Sweep journal: the checkpoint log behind ``--resume``.
 
 A :class:`SweepJournal` is an append-only JSONL file recording the
-progress of one supervised :func:`~repro.par.executor.sweep_map` call:
+progress of one journaled :func:`~repro.par.executor.sweep_map` call:
 a ``sweep_start`` header naming the sweep (a stable fingerprint of the
-task keys), one ``shard_done`` line per completed shard, free-form
-recovery events (``task_quarantined`` etc.), and a ``sweep_end``
-completeness manifest.  Every line is flushed as it is written, so a
+task keys), a ``sweep_resume`` line each time a run resumes it, one
+``shard_done`` line per completed shard, and a ``sweep_end`` line once
+every shard is done.  Every line is flushed as it is written, so a
 process killed mid-sweep (SIGKILL included) leaves a journal whose
 ``shard_done`` set is exactly the shards whose results were already
-checkpointed to the result cache.
+checkpointed to the result cache — at worst plus one torn last line,
+which the next writer terminates before it appends and every reader
+skips.
 
 Resume contract: the journal is *bookkeeping*, not the source of truth
 — on ``resume=True`` the executor restores shard **values** from the
@@ -44,8 +46,9 @@ def journal_path(journal_dir: str, sweep_id: str) -> str:
 
 
 def read_journal(path: str) -> List[Dict[str, Any]]:
-    """Parse a journal, skipping a trailing torn line (a SIGKILL can
-    land mid-``write``; every *complete* line is trustworthy)."""
+    """Parse a journal, skipping torn lines (a SIGKILL can land
+    mid-``write``; every *complete* line is trustworthy, including the
+    ones a resumed run appended after the tear)."""
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -55,12 +58,21 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError:
-                break  # torn tail — nothing after it was flushed
+                continue  # torn by a kill mid-write
     return records
 
 
+def _ends_torn(path: str) -> bool:
+    """Whether ``path`` is non-empty and its last line unterminated."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return False
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) != b"\n"
+
+
 class SweepJournal:
-    """Append-only progress log for one supervised sweep.
+    """Append-only progress log for one journaled sweep.
 
     ``resume=True`` re-opens an existing journal (matching ``sweep_id``
     — a different id means the caller is pointing an old journal at a
@@ -93,7 +105,11 @@ class SweepJournal:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
+        torn = _ends_torn(path)
         self._fh: Optional[Any] = open(path, "a", encoding="utf-8")
+        if torn:
+            # end the torn line, or the next record would be glued to it
+            self._fh.write("\n")
         if self.resumed:
             self._write({"kind": "sweep_resume", "done": len(self.done),
                          "tasks": tasks})
@@ -119,14 +135,9 @@ class SweepJournal:
         self._write(record)
         self.done.add(index)
 
-    def event(self, kind: str, **fields: Any) -> None:
-        """Append a free-form recovery event (quarantines etc.)."""
-        self._write({"kind": kind, **fields})
-
-    def finish(self, completed: int, quarantined: List[int]) -> None:
-        """Write the ``sweep_end`` completeness manifest."""
-        self._write({"kind": "sweep_end", "completed": completed,
-                     "quarantined": list(quarantined)})
+    def finish(self) -> None:
+        """Write the ``sweep_end`` line: every shard is done."""
+        self._write({"kind": "sweep_end", "completed": self.tasks})
 
     def close(self) -> None:
         if self._fh is not None:

@@ -49,9 +49,9 @@ class SimulationError(RuntimeError):
 
 
 # The exception hierarchy is defined *before* any intra-package imports:
-# repro.faults.errors subclasses SimulationError and is reachable from
-# repro.obs via the supervised sweep executor, so it may re-enter this
-# module while the imports below are still resolving.
+# repro.faults.errors subclasses SimulationError, so an import cycle that
+# re-enters this module while the imports below are still resolving
+# (repro.obs reaches much of the package) must find it defined.
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.events import AllOf, Event, EventState, Timeout, ensure_event
 

@@ -209,81 +209,43 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestProcFaultRecovery:
-    """ISSUE-8 acceptance: supervised chaos sweeps recover from seeded
-    process-level faults with surviving cells byte-identical to the
-    fault-free serial baseline."""
+class TestFailedSweepResumes:
+    """The first failing cell ends a chaos sweep; ``--resume`` re-runs
+    only the missing cells and writes the uninterrupted report."""
 
-    @staticmethod
-    def _policy(max_retries=2):
-        from repro.faults.plan import RetryPolicy
-        from repro.par import SweepPolicy
+    def test_summary_counts_cell_outcomes_only(self, smoke_report):
+        assert sorted(smoke_report["summary"]) == \
+            ["delivery_errors", "ok", "runs", "violations"]
 
-        return SweepPolicy(
-            retry=RetryPolicy(timeout=30.0, backoff=0.0, backoff_cap=0.0,
-                              max_retries=max_retries),
-            strict=False)
+    def test_resume_after_a_failed_cell_is_byte_identical(
+            self, smoke_report, monkeypatch, tmp_path, capsys):
+        from repro.obs.analysis import LedgerSummary, render_report
+        from repro.obs.ledger import read_ledger
 
-    def test_baseline_reports_zero_quarantined(self, smoke_report):
-        assert smoke_report["summary"]["quarantined"] == 0
+        real = chaos.run_chaos_shard
+        calls = []
 
-    def test_transient_faults_leave_the_report_byte_identical(
-            self, smoke_report, tmp_path):
-        # the CI step, as CI runs it: a worker dying while its pool-mate
-        # completes used to escape as BrokenProcessPool from the top-up
-        out = tmp_path / "recovered.json"
-        assert main(["--smoke", "--seed", "0", "--jobs", "2",
-                     "--proc-faults", "crash=1,raise=1",
-                     "--max-retries", "2", "-o", str(out)]) == 0
+        def fails_fifth(task):
+            calls.append(task)
+            if len(calls) == 5:
+                raise RuntimeError("cell 4 failed")
+            return real(task)
+
+        argv = ["--smoke", "--seed", "0", "--resume",
+                "--cache-dir", str(tmp_path / "cache")]
+        monkeypatch.setattr(chaos, "run_chaos_shard", fails_fifth)
+        with pytest.raises(RuntimeError, match="cell 4 failed"):
+            main(argv + ["-o", str(tmp_path / "failed.json")])
+        monkeypatch.undo()
+        capsys.readouterr()
+        out, ledger = tmp_path / "resumed.json", tmp_path / "resumed.jsonl"
+        assert main(argv + ["-o", str(out), "--ledger", str(ledger)]) == 0
+        assert "chaos: 4 shards resumed" in capsys.readouterr().err
         assert out.read_text() == \
             json.dumps(smoke_report, indent=2, sort_keys=True) + "\n"
-
-    def test_poison_quarantines_exactly_the_poisoned_cells(
-            self, smoke_report):
-        from repro.faults import ProcFaultPlan
-        from repro.par import SweepStats
-
-        n_tasks = smoke_report["summary"]["runs"]
-        plan = ProcFaultPlan.sample(0, n_tasks, crashes=0, poison=2)
-        stats = SweepStats()
-        report = run_chaos(seed=0, smoke=True, jobs=2,
-                           policy=self._policy(max_retries=1),
-                           stats=stats, proc_faults=plan)
-        poisoned = set(plan.poison_indices())
-        assert {q["index"] for q in stats.quarantined} == poisoned
-        assert report["summary"]["quarantined"] == len(poisoned)
-        # every surviving cell is byte-identical to the baseline
-        task_index = 0
-        for base_sc, sc in zip(smoke_report["scenarios"],
-                               report["scenarios"]):
-            for label in base_sc["results"]:
-                if task_index in poisoned:
-                    cell = sc["results"][label]
-                    assert cell["outcome"] == "quarantined"
-                    assert "injected raise" in cell["error"]
-                else:
-                    assert sc["results"][label] == \
-                        base_sc["results"][label]
-                task_index += 1
-
-    def test_poison_fingerprints_the_same_at_any_jobs(self, smoke_report):
-        from repro.faults import ProcFaultPlan
-        from repro.faults.chaos import write_chaos_ledger
-        from repro.obs.ledger import RunLedger, ledger_fingerprint
-        from repro.par import SweepStats
-
-        n_tasks = smoke_report["summary"]["runs"]
-        plan = ProcFaultPlan.sample(0, n_tasks, crashes=0, poison=3)
-        fingerprints = []
-        for jobs in (1, 2):
-            stats = SweepStats()
-            report = run_chaos(seed=0, smoke=True, jobs=jobs,
-                               policy=self._policy(max_retries=1),
-                               stats=stats, proc_faults=plan)
-            assert [q["index"] for q in stats.quarantined] == \
-                sorted(plan.poison_indices())
-            ledger = RunLedger(None, "chaos", {"seed": 0, "smoke": True})
-            write_chaos_ledger(ledger, report, stats=stats)
-            ledger.finish("ok")
-            fingerprints.append(ledger_fingerprint(ledger.records))
-        assert fingerprints[0] == fingerprints[1]
+        records = read_ledger(str(ledger))
+        runs = smoke_report["summary"]["runs"]
+        assert [(ev["done"], ev["tasks"])
+                for ev in LedgerSummary(records).resumes] == [(4, runs)]
+        assert f"resumed: 4/{runs} shards restored" in \
+            render_report(records)

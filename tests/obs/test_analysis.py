@@ -209,38 +209,22 @@ class TestLedgerSummary:
         assert any(t is not None and t > 0 for t in times)
 
 
-class TestRecoverySection:
-    @pytest.fixture(scope="class")
-    def recovery_ledger(self, tmp_path_factory):
-        """A supervised proc-fault chaos run with one quarantined cell."""
-        from repro.faults.chaos import main as chaos_main
+class TestResumeLine:
+    def test_report_renders_restored_shards(self):
+        from repro.obs.ledger import RunLedger
+        from repro.par import SweepStats
 
-        root = tmp_path_factory.mktemp("recovery")
-        path = str(root / "chaos.jsonl")
-        rc = chaos_main(["--smoke", "--seed", "0", "--jobs", "2",
-                         "--proc-faults", "poison=1", "--max-retries", "1",
-                         "--ledger", path,
-                         "-o", str(root / "chaos.json")])
-        assert rc == 0
-        return path
+        ledger = RunLedger(None, "test", {})
+        ledger.sweep(SweepStats(tasks=4, executed=2, cache_hits=2,
+                                resumed=2))
+        ledger.finish("ok")
+        summary = LedgerSummary(ledger.records)
+        assert [(ev["done"], ev["tasks"]) for ev in summary.resumes] == \
+            [(2, 4)]
+        assert "  resumed: 2/4 shards restored from a previous run" in \
+            render_report(ledger.records).splitlines()
 
-    def test_summary_indexes_recovery_records(self, recovery_ledger):
-        summary = LedgerSummary(read_ledger(recovery_ledger))
-        assert summary.recovery is not None
-        assert len(summary.quarantined) == 1
-        assert summary.quarantined[0]["reason"] == "error"
-        assert summary.chunk_retries  # the poison cell was retried
-
-    def test_report_renders_the_recovery_section(self, recovery_ledger):
-        text = render_report(read_ledger(recovery_ledger))
-        assert "=== recovery ===" in text
-        assert "QUARANTINED" in text
-        assert "injected raise" in text
-
-    def test_unfaulted_ledgers_have_no_recovery_section(self,
-                                                        chaos_ledgers):
+    def test_fresh_ledgers_have_no_resume_line(self, chaos_ledgers):
         records = read_ledger(chaos_ledgers[0])
-        summary = LedgerSummary(records)
-        assert summary.recovery is None
-        assert summary.quarantined == []
-        assert "=== recovery ===" not in render_report(records)
+        assert LedgerSummary(records).resumes == []
+        assert "resumed:" not in render_report(records)

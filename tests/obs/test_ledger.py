@@ -281,50 +281,33 @@ class TestCanonicalSnapshots:
             canonical_dumps(snapshot))
 
 
-class TestRecoveryRecords:
-    """Supervised-sweep recovery telemetry and its determinism split."""
+class TestResumeRecord:
+    """A resumed sweep's ``sweep_resume`` record and its determinism."""
 
     @staticmethod
-    def _stats(with_recovery=True):
+    def _stats(resumed=1):
         from repro.par.executor import SweepStats
 
-        stats = SweepStats(tasks=4, executed=3, cache_hits=1, jobs=2,
-                           chunks=2)
-        if with_recovery:
-            stats.retried = 2
-            stats.respawns = 1
-            stats.resumed = 1
-            stats.quarantined.append(
-                {"index": 3, "key": "k3", "reason": "error",
-                 "error": "ValueError: boom"})
-            stats.recovery("sweep_resume", done=1, tasks=4)
-            stats.recovery("worker_lost", reason="crash", lo=0, hi=1,
-                           tasks=2)
-            stats.recovery("chunk_retry", reason="crash", action="retry",
-                           lo=0, hi=0, tasks=1, attempt=1)
-            stats.recovery("task_quarantined", index=3, reason="error",
-                           error="ValueError: boom")
-        return stats
+        return SweepStats(tasks=4, executed=4 - resumed, cache_hits=resumed,
+                          jobs=2, chunks=2, resumed=resumed)
 
-    def _ledger(self, with_recovery=True):
+    def _ledger(self, resumed=1):
         ledger = RunLedger(None, "test", {"seed": 0})
-        ledger.sweep(self._stats(with_recovery))
+        ledger.sweep(self._stats(resumed))
         ledger.finish("ok")
         return ledger
 
-    def test_quarantines_are_deterministic_the_rest_volatile(self):
+    def test_resume_is_recorded_volatile(self):
         records = self._ledger().records
-        by_kind = {}
-        for record in records:
-            by_kind.setdefault(record["event"], []).append(record)
-        assert not by_kind["task_quarantined"][0].get(VOLATILE_KEY)
-        for kind in ("worker_lost", "chunk_retry", "sweep_resume",
-                     "recovery"):
-            assert by_kind[kind][0][VOLATILE_KEY] is True, kind
-        view_kinds = {r["event"] for r in deterministic_view(records)}
-        assert "task_quarantined" in view_kinds
-        assert view_kinds.isdisjoint(
-            {"worker_lost", "chunk_retry", "sweep_resume", "recovery"})
+        resume, = [r for r in records if r["event"] == "sweep_resume"]
+        assert resume[VOLATILE_KEY] is True
+        assert (resume["done"], resume["tasks"]) == (1, 4)
+        assert "sweep_resume" not in \
+            {r["event"] for r in deterministic_view(records)}
+
+    def test_a_fresh_sweep_records_no_resume(self):
+        assert "sweep_resume" not in \
+            {r["event"] for r in self._ledger(resumed=0).records}
 
     def test_sweep_execution_shape_lives_in_the_envelope(self):
         sweep = [r for r in self._ledger().records
@@ -333,27 +316,13 @@ class TestRecoveryRecords:
         assert "executed" not in sweep and "cache_hits" not in sweep
         assert sweep[ENVELOPE_KEY] == {"executed": 3, "cache_hits": 1}
 
-    def test_recovery_shape_does_not_change_the_fingerprint(self,
-                                                            tmp_path):
-        # an interrupted-and-resumed sweep (retries, respawns, resume
-        # events) must fingerprint identically to an uninterrupted one
-        # as long as the deterministic outcome (quarantines) matches
-        paths = []
-        for name, with_recovery in (("a", True), ("b", True)):
-            path = str(tmp_path / f"{name}.jsonl")
-            ledger = RunLedger(path, "test", {"seed": 0})
-            stats = self._stats(with_recovery)
-            if name == "b":
-                stats.retried = 9
-                stats.respawns = 4
-                stats.recovery("worker_lost", reason="hang", lo=2, hi=2,
-                               tasks=1)
-            ledger.sweep(stats)
-            ledger.finish("ok")
-            paths.append(path)
-        assert ledger_fingerprint(paths[0]) == ledger_fingerprint(paths[1])
+    def test_resume_does_not_change_the_fingerprint(self):
+        # a resumed sweep must fingerprint identically to an
+        # uninterrupted one: both finished every shard
+        assert ledger_fingerprint(self._ledger(resumed=3).records) == \
+            ledger_fingerprint(self._ledger(resumed=0).records)
 
-    def test_ledgers_validate_with_recovery_records(self):
+    def test_ledgers_validate_with_resume_records(self):
         assert validate_ledger(self._ledger().records) == 1
 
     def test_cache_repair_events_are_volatile(self, tmp_path):

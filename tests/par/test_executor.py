@@ -39,10 +39,11 @@ def _missing(x):
 
 
 #: one executor: every argument combination runs the same loop, so the
-#: basic contract is checked on each — no policy (the zero policy) and
-#: a policy, in process and on a pool
+#: basic contract is checked on each — no policy, a policy without a
+#: deadline and one with, in process and on a pool
 each_policy = pytest.mark.parametrize(
-    "policy", [None, SweepPolicy()], ids=["zero-policy", "policy"])
+    "policy", [None, SweepPolicy(), SweepPolicy(task_timeout=30.0)],
+    ids=["no-policy", "policy", "deadline"])
 each_jobs = pytest.mark.parametrize("jobs", [1, 2])
 
 
@@ -148,23 +149,20 @@ class TestSweepMap:
         out = sweep_map(_square, tasks, jobs=2, start_method="spawn")
         assert out == [t * t for t in tasks]
 
-    def test_worker_exception_propagates(self):
-        with pytest.raises(ValueError, match="task 3 exploded"):
-            sweep_map(_boom, list(range(8)), jobs=2)
-
-    def test_serial_exception_propagates(self):
-        with pytest.raises(ValueError, match="task 3 exploded"):
-            sweep_map(_boom, list(range(8)), jobs=1)
-
+    @each_policy
     @each_jobs
-    def test_oserror_from_fn_is_not_a_lost_worker(self, jobs):
+    def test_an_exception_keeps_its_type(self, policy, jobs):
+        with pytest.raises(ValueError, match="task 3 exploded"):
+            sweep_map(_boom, list(range(8)), jobs=jobs, policy=policy)
+
+    @each_policy
+    @each_jobs
+    def test_oserror_from_fn_is_not_a_lost_worker(self, policy, jobs):
         # FileNotFoundError is an OSError, which is also what a
         # collapsed result transport raises: it must come back as
-        # itself, not be answered with a pool respawn
-        stats = SweepStats()
+        # itself, not as BrokenProcessPool
         with pytest.raises(FileNotFoundError, match="no input file"):
-            sweep_map(_missing, list(range(8)), jobs=jobs, stats=stats)
-        assert stats.respawns == 0 and stats.recovery_events == []
+            sweep_map(_missing, list(range(8)), jobs=jobs, policy=policy)
 
     def test_stats_serial(self):
         stats = SweepStats()
@@ -319,6 +317,7 @@ class TestFleetTelemetry:
         stats.worker_events = [self._event(i, 0.1) for i in range(4)]
         out = stats.to_dict()
         assert out["tasks"] == 4 and out["cache_hit_rate"] == 0.25
+        assert out["resumed"] == 0
         fleet = out["fleet"]
         assert fleet["jobs"] == 2 and fleet["chunks"] == 4
         assert len(fleet["heartbeats"]) == 4

@@ -31,17 +31,15 @@ class TestWriteAndRead:
         with SweepJournal(path, "abc123", tasks=3) as journal:
             journal.shard_done(0, key="k0")
             journal.shard_done(2)
-            journal.event("task_quarantined", index=1, reason="error",
-                          error="boom")
-            journal.finish(completed=2, quarantined=[1])
+            journal.shard_done(1)
+            journal.finish()
         kinds = [r["kind"] for r in read_journal(path)]
         assert kinds == ["sweep_start", "shard_done", "shard_done",
-                         "task_quarantined", "sweep_end"]
+                         "shard_done", "sweep_end"]
         records = read_journal(path)
         assert records[1] == {"kind": "shard_done", "index": 0, "key": "k0"}
         assert records[2] == {"kind": "shard_done", "index": 2}
-        assert records[-1] == {"kind": "sweep_end", "completed": 2,
-                               "quarantined": [1]}
+        assert records[-1] == {"kind": "sweep_end", "completed": 3}
 
     def test_lines_are_canonical_json(self, tmp_path):
         path = _path(tmp_path)
@@ -72,16 +70,32 @@ class TestTornTail:
         assert [r["kind"] for r in records] == ["sweep_start",
                                                 "shard_done", "shard_done"]
 
-    def test_nothing_after_the_tear_is_trusted(self, tmp_path):
+    def test_lines_after_a_tear_are_still_read(self, tmp_path):
+        # a resumed run appends after the torn line of the killed one
         path = _path(tmp_path)
         with SweepJournal(path, "abc123", tasks=4) as journal:
             journal.shard_done(0)
         with open(path, "a") as fh:
-            fh.write("garbage\n")
+            fh.write('{"kind":"shard_done","ind\n')
             fh.write('{"kind":"shard_done","index":3}\n')
         indices = [r["index"] for r in read_journal(path)
                    if r["kind"] == "shard_done"]
-        assert indices == [0]
+        assert indices == [0, 3]
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_the_writer_ends_a_torn_line_first(self, tmp_path, resume):
+        path = _path(tmp_path)
+        with SweepJournal(path, "abc123", tasks=4) as journal:
+            journal.shard_done(0)
+        with open(path, "a") as fh:
+            fh.write('{"kind":"shard_done","index":1')  # torn
+        with SweepJournal(path, "abc123", tasks=4, resume=resume) as journal:
+            journal.shard_done(2)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines[2] == '{"kind":"shard_done","index":1'
+        assert [r["kind"] for r in read_journal(path)][-2:] == \
+            ["sweep_resume" if resume else "sweep_start", "shard_done"]
 
 
 class TestResume:

