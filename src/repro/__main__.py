@@ -109,6 +109,7 @@ def _predict(args: list) -> None:
     import argparse
 
     from repro.machine import resolve_machine
+    from repro.models.decision import decide
     from repro.models.scenarios import Scenario, scenario_summary
     from repro.models.strategies import all_strategy_models, model_label
 
@@ -126,7 +127,7 @@ def _predict(args: list) -> None:
     summary = scenario_summary(machine, sc, ns.size)
     times = {model_label(m): m.time(summary)
              for m in all_strategy_models(machine)}
-    best = min(times, key=lambda k: times[k])
+    best = decide(times.keys(), list(times.values())).winner
     print(f"scenario: {sc.label}, {ns.size:g} B/message on {machine.name}")
     for label, t in sorted(times.items(), key=lambda kv: kv[1]):
         mark = "  <= best" if label == best else ""

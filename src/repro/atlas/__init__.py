@@ -16,8 +16,6 @@ from repro.atlas.artifact import (
     ATLAS_SCHEMA,
     Atlas,
     AtlasFormatError,
-    decode_winner_runs,
-    encode_winner_runs,
     load_atlas,
     read_header,
     save_atlas,
@@ -25,7 +23,7 @@ from repro.atlas.artifact import (
 from repro.atlas.build import atlas_shard_key, build_atlas, build_tasks
 from repro.atlas.grid import AtlasGridSpec, default_grid
 from repro.atlas.index import (
-    DEFAULT_MARGIN_BAND,
+    MARGIN_BAND,
     AtlasIndex,
     AtlasLookup,
     lookup,
@@ -38,13 +36,11 @@ __all__ = [
     "AtlasGridSpec",
     "AtlasIndex",
     "AtlasLookup",
-    "DEFAULT_MARGIN_BAND",
+    "MARGIN_BAND",
     "atlas_shard_key",
     "build_atlas",
     "build_tasks",
-    "decode_winner_runs",
     "default_grid",
-    "encode_winner_runs",
     "load_atlas",
     "lookup",
     "read_header",

@@ -5,23 +5,22 @@ One atlas is one file::
     RPRATLAS <canonical-JSON header>\\n<raw little-endian float64 tensor>
 
 The header carries the schema version, machine name, grid axes, model
-labels, the **winner-run-length encoding** of the crossover surface
-(runs of ``[length, strategy_index]`` over the C-order flattened grid —
-regime maps are large constant patches separated by thin frontiers, so
-this is far smaller than a dense label grid), and the shape/dtype/
-SHA-256 of the per-strategy time tensor that follows.  The tensor is
-needed at query time for runner-up margins; the winners are derivable
-from it (``argmin`` over strategies) and the loader verifies the two
-agree, so a corrupt encoding can never serve wrong winners silently.
+labels, the shape/dtype/SHA-256 of the per-strategy time tensor that
+follows, and ``header_sha256`` — the SHA-256 of the header's own
+canonical JSON without that field.  The tensor is the whole content:
+winners are derived from it (:func:`~repro.models.decision.decide`
+over the strategy axis), never stored beside it.
 
 Everything is byte-deterministic: the header is ``canonical_dumps``
 (sorted keys, compact, ``repr``-exact floats), the payload is the raw
 tensor bytes, and there are no timestamps — two builds of the same grid
 produce identical files at any ``--jobs`` value.  Writes are atomic
-(temp file + ``os.replace``).  Every malformed-file condition — wrong
-magic, unsupported schema, torn header, truncated or corrupted payload
-— reads as a clean :class:`AtlasFormatError` naming the expected
-schema, never as a stray pickle/JSON/numpy traceback.
+(temp file + ``os.replace``).  The loader checks the header digest
+before it reads any other header field, then the payload digest, so
+every malformed-file condition — wrong magic, unsupported schema, torn
+or flipped header, truncated or corrupted payload — reads as a clean
+:class:`AtlasFormatError` naming the expected schema, never as a stray
+JSON/numpy traceback or a silently wrong label, machine or axis.
 """
 
 from __future__ import annotations
@@ -30,17 +29,19 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from functools import cached_property
+from typing import Any, Dict, List
 
 import numpy as np
 
 from repro.atlas.grid import AtlasGridSpec
+from repro.models.decision import decide
 from repro.obs.ledger import canonical_dumps
 
 #: artifact format version — part of the header *and* of every build
 #: shard's cache key, so a schema bump invalidates stale artifacts and
 #: stale cached shards at once
-ATLAS_SCHEMA = 1
+ATLAS_SCHEMA = 2
 
 #: leading file magic (followed by one space, the header, one newline)
 MAGIC = b"RPRATLAS"
@@ -62,51 +63,21 @@ class AtlasFormatError(ValueError):
             f"{path}: {problem} (atlas schema {ATLAS_SCHEMA} reader)")
 
 
-def encode_winner_runs(winners_idx: np.ndarray) -> List[List[int]]:
-    """Run-length encode a winner-index grid (C-order flattening).
-
-    Returns ``[[run_length, strategy_index], ...]`` covering every cell
-    exactly once.  The crossover *frontier* is precisely the set of run
-    boundaries — regime patches compress to one run each.
-    """
-    flat = np.asarray(winners_idx).reshape(-1)
-    if flat.size == 0:
-        return []
-    change = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    return [[int(e - s), int(flat[s])] for s, e in zip(starts, ends)]
-
-
-def decode_winner_runs(runs: List[List[int]], shape: Tuple[int, ...],
-                       ) -> np.ndarray:
-    """Inverse of :func:`encode_winner_runs` (validates coverage)."""
-    total = int(np.prod(shape)) if shape else 0
-    counts = [int(r[0]) for r in runs]
-    if sum(counts) != total:
-        raise ValueError(
-            f"winner runs cover {sum(counts)} cells, grid has {total}")
-    flat = np.repeat(np.asarray([int(r[1]) for r in runs], dtype=np.int64),
-                     counts)
-    return flat.reshape(shape)
-
-
 @dataclass
 class Atlas:
     """One machine's precomputed best-strategy frontier.
 
     ``times`` has shape ``(len(labels),) + spec.shape`` — the modelled
     time of every strategy at every grid cell, bit-identical to the
-    costing kernel's output for that cell.  ``winners_idx`` is its argmin
-    over the strategy axis (ties to the earliest label, matching
-    :func:`~repro.models.scenarios.best_strategy`).
+    costing kernel's output for that cell.  ``winners_idx`` is derived
+    from it by :func:`~repro.models.decision.decide` (ties to the
+    earliest label, like :func:`~repro.models.scenarios.best_strategy`).
     """
 
     machine: str
     spec: AtlasGridSpec
     labels: List[str]
     times: np.ndarray
-    winners_idx: np.ndarray
 
     def __post_init__(self) -> None:
         expected = (len(self.labels),) + self.spec.shape
@@ -114,24 +85,32 @@ class Atlas:
             raise ValueError(
                 f"times tensor shape {self.times.shape} != "
                 f"(labels,)+grid {expected}")
-        if tuple(self.winners_idx.shape) != self.spec.shape:
-            raise ValueError(
-                f"winners_idx shape {self.winners_idx.shape} != grid "
-                f"{self.spec.shape}")
 
     @property
     def cells(self) -> int:
         return self.spec.cells
 
+    @cached_property
+    def winners_idx(self) -> np.ndarray:
+        """Winning label index per grid cell."""
+        return decide(self.labels, self.times).winner_idx
+
     def frontier_cells(self) -> int:
-        """Number of run boundaries in the winner encoding — a compact
-        proxy for how much crossover structure the machine exhibits."""
-        return max(0, len(encode_winner_runs(self.winners_idx)) - 1)
+        """Number of winner changes along the C-order flattened grid — a
+        compact proxy for how much crossover structure the machine
+        exhibits."""
+        return int(np.count_nonzero(np.diff(self.winners_idx.reshape(-1))))
 
     def winner_counts(self) -> Dict[str, int]:
         """Cells won per strategy label (only strategies that win)."""
         idx, counts = np.unique(self.winners_idx, return_counts=True)
         return {self.labels[int(i)]: int(c) for i, c in zip(idx, counts)}
+
+
+def _header_digest(header: Dict[str, Any]) -> str:
+    """SHA-256 of the header's canonical JSON, its own digest left out."""
+    body = {k: v for k, v in header.items() if k != "header_sha256"}
+    return hashlib.sha256(canonical_dumps(body).encode()).hexdigest()
 
 
 def save_atlas(atlas: Atlas, path: str) -> Dict[str, Any]:
@@ -143,7 +122,6 @@ def save_atlas(atlas: Atlas, path: str) -> Dict[str, Any]:
         "machine": atlas.machine,
         "axes": atlas.spec.to_dict(),
         "labels": list(atlas.labels),
-        "winners_rle": encode_winner_runs(atlas.winners_idx),
         "tensor": {
             "dtype": _TENSOR_DTYPE,
             "shape": list(tensor.shape),
@@ -151,6 +129,7 @@ def save_atlas(atlas: Atlas, path: str) -> Dict[str, Any]:
             "sha256": hashlib.sha256(payload).hexdigest(),
         },
     }
+    header["header_sha256"] = _header_digest(header)
     blob = MAGIC + b" " + canonical_dumps(header).encode() + b"\n" + payload
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -175,16 +154,21 @@ def _parse_header(path: str, head: bytes) -> Dict[str, Any]:
         raise AtlasFormatError(path, "torn header (no terminating newline)")
     try:
         header = json.loads(head[len(MAGIC) + 1:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        digest = _header_digest(header) if isinstance(header, dict) else None
+    except ValueError as exc:  # bad UTF-8 or JSON, or a NaN/inf number
         raise AtlasFormatError(path, f"unreadable header ({exc})") from None
-    if not isinstance(header, dict):
+    if digest is None:
         raise AtlasFormatError(path, "header is not a JSON object")
+    # the digest goes first: a flipped header must not be read further
+    claimed = header.get("header_sha256")
+    if claimed is not None and claimed != digest:
+        raise AtlasFormatError(path, "header checksum mismatch")
     schema = header.get("schema")
     if schema != ATLAS_SCHEMA:
         raise AtlasFormatError(
             path, f"unsupported atlas schema {schema!r} "
                   f"(this reader expects {ATLAS_SCHEMA})")
-    for key in ("machine", "axes", "labels", "winners_rle", "tensor"):
+    for key in ("header_sha256", "machine", "axes", "labels", "tensor"):
         if key not in header:
             raise AtlasFormatError(path, f"header missing {key!r}")
     return header
@@ -196,42 +180,29 @@ def load_atlas(path: str) -> Atlas:
         head = fh.readline()
         header = _parse_header(path, head)
         payload = fh.read()
-    tensor_meta = header["tensor"]
-    nbytes = int(tensor_meta["nbytes"])
+    try:  # a signed header can still come from a writer with a bug
+        meta = header["tensor"]
+        nbytes, expected = int(meta["nbytes"]), str(meta["sha256"])
+        dtype, shape = meta["dtype"], tuple(int(s) for s in meta["shape"])
+        spec = AtlasGridSpec.from_dict(header["axes"])
+        labels = [str(label) for label in header["labels"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise AtlasFormatError(path, f"invalid header field ({exc})") from None
     if len(payload) != nbytes:
         raise AtlasFormatError(
             path, f"truncated payload: {len(payload)} bytes on disk, "
                   f"header promises {nbytes}")
     digest = hashlib.sha256(payload).hexdigest()
-    if digest != tensor_meta["sha256"]:
+    if digest != expected:
         raise AtlasFormatError(
             path, f"payload checksum mismatch ({digest[:12]}… != "
-                  f"{tensor_meta['sha256'][:12]}…)")
-    if tensor_meta["dtype"] != _TENSOR_DTYPE:
-        raise AtlasFormatError(
-            path, f"unsupported tensor dtype {tensor_meta['dtype']!r}")
-    try:
-        spec = AtlasGridSpec.from_dict(header["axes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AtlasFormatError(path, f"invalid grid axes ({exc})") from None
-    labels = [str(label) for label in header["labels"]]
-    shape = tuple(int(s) for s in tensor_meta["shape"])
+                  f"{expected[:12]}…)")
+    if dtype != _TENSOR_DTYPE:
+        raise AtlasFormatError(path, f"unsupported tensor dtype {dtype!r}")
     if shape != (len(labels),) + spec.shape:
         raise AtlasFormatError(
             path, f"tensor shape {shape} disagrees with labels+axes "
                   f"{(len(labels),) + spec.shape}")
     times = np.frombuffer(payload, dtype=_TENSOR_DTYPE).reshape(shape).copy()
-    try:
-        winners_idx = decode_winner_runs(header["winners_rle"], spec.shape)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise AtlasFormatError(
-            path, f"invalid winner encoding ({exc})") from None
-    if winners_idx.size and (winners_idx.min() < 0
-                             or winners_idx.max() >= len(labels)):
-        raise AtlasFormatError(path, "winner index out of label range")
-    if not np.array_equal(winners_idx, np.argmin(times, axis=0)):
-        raise AtlasFormatError(
-            path, "winner encoding disagrees with the time tensor's "
-                  "argmin — corrupt artifact")
     return Atlas(machine=str(header["machine"]), spec=spec, labels=labels,
-                 times=times, winners_idx=winners_idx)
+                 times=times)

@@ -54,9 +54,8 @@ def _atlas_shard(task: _ShardSpec) -> Dict[str, Any]:
                             node_counts=node_counts,
                             num_messages=msg_count, dup_fraction=dup,
                             keep_times=True)
-    # the atlas consumes the regime map's array view directly
-    return {"labels": rm.labels, "winners_idx": rm.winners_idx,
-            "times": rm.times}
+    # the atlas consumes the regime map's time tensor directly
+    return {"labels": rm.labels, "times": rm.times}
 
 
 def build_tasks(machine: MachineSpec,
@@ -96,7 +95,6 @@ def build_atlas(machine: MachineSpec,
     n_nodes, n_msgs, n_dups, n_sizes = spec.shape
     times = np.empty((len(labels), n_nodes, n_msgs, n_dups, n_sizes),
                      dtype=np.float64)
-    winners = np.empty(spec.shape, dtype=np.int64)
     for index, shard in enumerate(shards):
         if shard["labels"] != labels:
             raise ValueError(
@@ -104,8 +102,7 @@ def build_atlas(machine: MachineSpec,
                 f"{shard['labels']} != {labels}")
         j, k = divmod(index, n_dups)
         times[:, :, j, k, :] = shard["times"]
-        winners[:, j, k, :] = shard["winners_idx"]
         if shard_done is not None:
             shard_done(index, shard)
     return Atlas(machine=machine.name, spec=spec, labels=labels,
-                 times=times, winners_idx=winners)
+                 times=times)

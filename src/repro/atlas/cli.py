@@ -61,6 +61,7 @@ def _build(args: List[str]) -> int:
     ledger = None
     shard_done = None
     if ns.ledger:
+        from repro.models.decision import decide
         from repro.obs.ledger import RunLedger
         from repro.par.executor import SweepStats
 
@@ -73,11 +74,9 @@ def _build(args: List[str]) -> int:
 
         def shard_done(index, shard):
             msgs, dup = tasks_meta[index]
+            winners = decide(shard["labels"], shard["times"]).winner
             ledger.event("atlas_shard", msgs=msgs, dup=dup,
-                         outcome="ok",
-                         winners=sorted(set(
-                             shard["labels"][i]
-                             for i in shard["winners_idx"].reshape(-1))))
+                         outcome="ok", winners=sorted(set(winners.flat)))
 
     atlas = build_atlas(machine, spec=spec, jobs=ns.jobs, cache=cache,
                         stats=stats, policy=policy, journal_dir=journal_dir,
@@ -108,7 +107,7 @@ def _query(args: List[str]) -> int:
     import argparse
 
     from repro.atlas.artifact import load_atlas
-    from repro.atlas.index import DEFAULT_MARGIN_BAND, AtlasIndex
+    from repro.atlas.index import AtlasIndex
 
     parser = argparse.ArgumentParser(
         prog="python -m repro atlas query",
@@ -120,14 +119,8 @@ def _query(args: List[str]) -> int:
     parser.add_argument("size", type=float, help="bytes per message")
     parser.add_argument("--dup", type=float, default=0.0, metavar="F",
                         help="duplicate fraction (default 0)")
-    parser.add_argument("--margin-band", type=float,
-                        default=DEFAULT_MARGIN_BAND, metavar="F",
-                        help="frontier band: interpolated lookups whose "
-                             "winner/runner-up margin falls below this "
-                             "re-evaluate exactly (default "
-                             f"{DEFAULT_MARGIN_BAND})")
     ns = parser.parse_args(args)
-    index = AtlasIndex(load_atlas(ns.atlas), margin_band=ns.margin_band)
+    index = AtlasIndex(load_atlas(ns.atlas))
     answer = index.query(ns.nodes, ns.msgs, ns.size, dup_fraction=ns.dup)
     print(f"scenario: {ns.nodes} nodes, {ns.msgs} msgs, {ns.size:g} B"
           + (f", {ns.dup:.1%} duplicates" if ns.dup else "")

@@ -3,18 +3,19 @@
 :class:`AtlasIndex` answers "which strategy wins for this scenario?"
 from the precomputed tensor alone: one bisection per axis, multilinear
 interpolation **in log-space** (log node count, log message count, log
-size; the bounded duplicate fraction interpolates linearly), argmin
-over strategies, and a confidence margin derived from the gap to the
-runner-up.  The kernel is never touched unless the query demands it:
+size; the bounded duplicate fraction interpolates linearly), the
+winner by :func:`~repro.models.decision.decide`, and a confidence
+margin derived from the gap to the runner-up.  The kernel is never
+touched unless the query demands it:
 
 * **on-grid queries** (every axis hits a lattice value exactly) are
   served straight from the stored tensor — those values *are* the
   costing kernel's outputs, so the winner matches exact evaluation bit-for-bit
   and no fallback can trigger;
-* **interpolated queries** whose margin falls below the index's
-  ``margin_band`` sit close to a crossover frontier, where interpolation
-  may pick the wrong side — they fall back to exact evaluation (one cell,
-  so the scalar stage walk);
+* **interpolated queries** whose margin falls below
+  :data:`MARGIN_BAND` sit close to a crossover frontier, where
+  interpolation may pick the wrong side — they fall back to exact
+  evaluation (one cell, so the scalar stage walk);
 * **out-of-hull queries** (outside the grid's bounding box on any axis)
   have no bracketing cell and always evaluate exactly.
 
@@ -34,12 +35,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.atlas.artifact import Atlas
+from repro.models.decision import decide
 from repro.models.scenarios import Scenario
 from repro.obs.metrics import MetricsRegistry
 
-#: default half-width of the frontier band (fractional winner/runner-up
-#: gap) below which an *interpolated* lookup re-evaluates exactly
-DEFAULT_MARGIN_BAND = 0.05
+#: half-width of the frontier band (fractional winner/runner-up gap)
+#: below which an *interpolated* lookup re-evaluates exactly
+MARGIN_BAND = 0.05
 
 
 @dataclass
@@ -93,13 +95,9 @@ class AtlasIndex:
     """Query layer over one machine's :class:`~repro.atlas.artifact.Atlas`."""
 
     def __init__(self, atlas: Atlas,
-                 margin_band: float = DEFAULT_MARGIN_BAND,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        if margin_band < 0.0:
-            raise ValueError(
-                f"margin_band must be >= 0, got {margin_band!r}")
         self.atlas = atlas
-        self.margin_band = float(margin_band)
+        self._labels = tuple(atlas.labels)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         spec = atlas.spec
         self._axes: List[Tuple[List[float], List[float], bool]] = [
@@ -140,26 +138,11 @@ class AtlasIndex:
             self._machine, [scenario], [float(msg_size)], self._models)
         return times[:, 0, 0]
 
-    @staticmethod
-    def _answer(times: np.ndarray, labels: List[str], source: str,
-                interpolated: bool) -> AtlasLookup:
-        winner_idx = int(np.argmin(times))
-        winner_time = float(times[winner_idx])
-        if times.size > 1:
-            runner_up = float(np.partition(times, 1)[1])
-            margin = ((runner_up - winner_time) / winner_time
-                      if winner_time > 0.0 else 0.0)
-        else:
-            margin = float("inf")
-        return AtlasLookup(winner=labels[winner_idx],
-                           winner_idx=winner_idx, margin=margin,
-                           times=times, source=source,
-                           interpolated=interpolated)
-
-    # -- the query -----------------------------------------------------------
-    def lookup(self, scenario: Scenario, msg_size: float) -> AtlasLookup:
-        """Answer one query (see the module docstring for semantics)."""
-        self._lookups.inc()
+    def _grid_times(self, scenario: Scenario, msg_size: float
+                    ) -> Tuple[Optional[np.ndarray], bool]:
+        """Stored or interpolated per-strategy times, and whether they
+        were interpolated.  ``None`` when the grid cannot answer: outside
+        the hull (not interpolated) or degenerate stored corners."""
         coords = (float(scenario.num_dest_nodes),
                   float(scenario.num_messages),
                   float(scenario.dup_fraction), float(msg_size))
@@ -170,23 +153,17 @@ class AtlasIndex:
             else:
                 loc = _locate(values, logs, x, log_axis)
             if loc is None:
-                self._fb_hull.inc()
-                times = self._exact_times(scenario, msg_size)
-                return self._answer(times, self.atlas.labels,
-                                    "exact-hull", False)
+                return None, False
             located.append(loc)
         interp_axes = [a for a, (_i, frac) in enumerate(located)
                        if frac != 0.0]
         if not interp_axes:
             # On-grid: the stored values are the kernel's own outputs.
             i, j, k, l = (i for i, _f in located)  # noqa: E741
-            times = self._times[:, i, j, k, l]
-            self._hits.inc()
-            return self._answer(times, self.atlas.labels, "atlas", False)
+            return self._times[:, i, j, k, l], False
         # Multilinear interpolation over the bracketing corners, in
         # log(time) so the blend matches the axes' log-space geometry.
         log_times = np.zeros(self._times.shape[0])
-        finite = True
         for corner in range(1 << len(interp_axes)):
             weight = 1.0
             idx = [i for i, _f in located]
@@ -199,27 +176,38 @@ class AtlasIndex:
                     weight *= 1.0 - frac
             cell = self._times[(slice(None),) + tuple(idx)]
             if not np.all(cell > 0.0):
-                finite = False
-                break
+                # degenerate stored times (empty cells): interpolation
+                # is meaningless here
+                return None, True
             log_times += weight * np.log(cell)
-        if not finite:
-            # degenerate stored times (empty cells) — interpolation is
-            # meaningless here, answer exactly
-            self._fb_margin.inc()
+        return np.exp(log_times), True
+
+    # -- the query -----------------------------------------------------------
+    def lookup(self, scenario: Scenario, msg_size: float) -> AtlasLookup:
+        """Answer one query (see the module docstring for semantics)."""
+        self._lookups.inc()
+        times, interpolated = self._grid_times(scenario, msg_size)
+        decision = None if times is None else decide(self._labels, times)
+        if decision is None or (interpolated
+                                and decision.margin < MARGIN_BAND):
+            # outside the hull, or in the frontier band where the
+            # interpolated winner may sit on the wrong side of the
+            # crossover: evaluate exactly
+            if interpolated:
+                self._fb_margin.inc()
+                source = "exact-margin"
+            else:
+                self._fb_hull.inc()
+                source = "exact-hull"
             times = self._exact_times(scenario, msg_size)
-            return self._answer(times, self.atlas.labels,
-                                "exact-margin", True)
-        times = np.exp(log_times)
-        answer = self._answer(times, self.atlas.labels, "atlas", True)
-        if answer.margin < self.margin_band:
-            # frontier band: the interpolated winner may sit on the
-            # wrong side of the crossover — re-evaluate exactly
-            self._fb_margin.inc()
-            times = self._exact_times(scenario, msg_size)
-            return self._answer(times, self.atlas.labels,
-                                "exact-margin", True)
-        self._hits.inc()
-        return answer
+            decision = decide(self._labels, times)
+        else:
+            self._hits.inc()
+            source = "atlas"
+        return AtlasLookup(winner=decision.winner,
+                           winner_idx=decision.winner_idx,
+                           margin=decision.margin, times=times,
+                           source=source, interpolated=interpolated)
 
     def query(self, num_dest_nodes: int, num_messages: int,
               msg_size: float, dup_fraction: float = 0.0) -> AtlasLookup:

@@ -31,6 +31,7 @@ from repro.bench.tables import (
     table4_data,
 )
 from repro.machine import resolve_machine
+from repro.models.decision import decide
 from repro.sparse.suite import SUITE
 
 
@@ -141,8 +142,9 @@ def generate(matrix_n: int = 16_000, gpu_counts=(8, 16, 32),
         out.extend(_code(render_series(
             f"{name} ({SUITE[name].description})\n  [{meta}]",
             "GPUs", d["gpus"], d["series"], mark_min=True)))
-        at = {l: ts[-1] for l, ts in d["series"].items()}
-        winners[name] = min(at, key=lambda k: at[k])
+        winners[name] = decide(
+            d["series"].keys(), [ts[-1] for ts in d["series"].values()]
+        ).winner
     out.append("Winners at the largest GPU count: "
                + "; ".join(f"{k}: **{v}**" for k, v in winners.items())
                + "\n")

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.base import CommunicationStrategy
 from repro.core.pattern import CommPattern
 from repro.machine.topology import JobLayout
+from repro.models.decision import decide
 from repro.models.strategies import (
     STRATEGY_SPECS,
     StrategyModel,
@@ -120,14 +121,11 @@ def select_strategy(pattern: CommPattern, layout: JobLayout,
     active fault plan: while a copy-engine outage makes the device path
     unhealthy (``transport.device_path_ok()`` is False), device-aware
     candidates are excluded exactly as with ``staged_only`` — they would
-    only degrade to their staged twins at run time anyway.
+    only degrade to their staged twins at run time anyway.  The pick is
+    :func:`~repro.models.decision.decide`'s.
     """
     times = predict_times(pattern, layout, ppn=ppn, message_cap=message_cap)
     degraded = transport is not None and not transport.device_path_ok()
-    skip_device = staged_only or degraded
-    candidates = {
-        label: t for label, t in times.items()
-        if not (skip_device and "device" in label)
-    }
-    best = min(candidates, key=lambda k: candidates[k])
+    best = decide(times.keys(), list(times.values()),
+                  device_ok=not (staged_only or degraded)).winner
     return strategy_by_name(best), times

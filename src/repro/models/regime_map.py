@@ -15,11 +15,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.machine.topology import MachineSpec
-from repro.models.scenarios import (
-    Scenario,
-    best_strategy,
-    fused_scenario_times,
-)
+from repro.models.decision import decide
+from repro.models.scenarios import Scenario, fused_scenario_times
 from repro.models.strategies import all_strategy_models
 
 #: curated short codes for the paper's strategy families; labels outside
@@ -110,28 +107,25 @@ def compute_regime_map(machine: MachineSpec,
                        node_counts: Sequence[int] = (2, 4, 8, 16, 32),
                        num_messages: int = 256,
                        dup_fraction: float = 0.0,
-                       exclude_best_case: bool = True,
                        include_extended: bool = False,
                        keep_times: bool = False) -> RegimeMap:
     """Evaluate the Table-6 models over a (nodes x size) grid.
 
     The model registry (and its labels) is built once for the whole
     grid, and every model walks its stages once over all (node-count
-    row, size) cells — bit-identical to the historical
-    per-row ``best_strategy_sweep`` loop, which rebuilt the models for
-    every row and the time matrix for every cell.  The winner grid is
-    carried both as labels (``winners``) and as the ``winners_idx``
-    index array; ``keep_times=True`` additionally retains the full
-    ``(model, node, size)`` time tensor (the atlas builder needs it for
-    runner-up margins).  ``include_extended=True`` lets the
+    row, size) cells.  The 2-Step 1 bounds, which never win
+    (:func:`~repro.models.decision.decide`), are not evaluated.  The
+    winner grid is carried both as labels (``winners``) and as the
+    ``winners_idx`` index array; ``keep_times=True`` additionally
+    retains the full ``(model, node, size)`` time tensor (the atlas
+    builder stores it).  ``include_extended=True`` lets the
     hierarchy-aware families (3-Step H, Neighbor P, ML 3-Step) compete;
     the default keeps the paper's Table-5 competitor set.
     """
     if sizes is None:
         sizes = list(np.logspace(1, 6, 11))
-    models = all_strategy_models(machine, include_extended=include_extended)
-    if exclude_best_case:
-        models = [m for m in models if m.name != "2-Step 1"]
+    models = all_strategy_models(machine, include_best_case=False,
+                                 include_extended=include_extended)
     scenarios = [
         Scenario(num_dest_nodes=int(nodes),
                  num_messages=max(num_messages, int(nodes)),
@@ -139,26 +133,21 @@ def compute_regime_map(machine: MachineSpec,
         for nodes in node_counts
     ]
     labels: List[str] = []
-    times = None
-    if models and scenarios:
+    times = np.empty((0, len(scenarios), len(sizes)))
+    if scenarios:
         labels, times = fused_scenario_times(
             machine, scenarios, [float(s) for s in sizes], models)
-        winners_idx = np.argmin(times, axis=0)
-        winners = [[labels[i] for i in row] for row in winners_idx]
-    else:
-        winners_idx = np.full((len(scenarios), len(sizes)), -1,
-                              dtype=np.int64)
-        winners = [["" for _ in sizes] for _ in scenarios]
+    decision = decide(labels, times)
     return RegimeMap(
         machine=machine.name,
         num_messages=num_messages,
         dup_fraction=dup_fraction,
         node_counts=[int(n) for n in node_counts],
         sizes=[float(s) for s in sizes],
-        winners=winners,
+        winners=decision.winner.tolist(),
         labels=labels,
-        winners_idx=winners_idx,
-        times=times if keep_times else None,
+        winners_idx=decision.winner_idx,
+        times=times if scenarios and keep_times else None,
     )
 
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.machine.topology import MachineSpec
+from repro.models.decision import decide
 from repro.models.pattern_summary import PatternSummary, SummaryBatch
 from repro.models.strategies import (
     StrategyModel,
@@ -318,34 +319,26 @@ def sweep_scenarios(machine: MachineSpec, scenarios: Sequence[Scenario],
 def best_strategy_sweep(machine: MachineSpec, scenario: Scenario,
                         sizes: Sequence[float],
                         models: Optional[List[StrategyModel]] = None,
-                        exclude_best_case: bool = True,
                         include_extended: bool = False) -> List[str]:
-    """Minimum-time strategy label at every size of a sweep.
+    """Winning strategy label at every size of a sweep.
 
-    Ties resolve to the earliest model in registry order, exactly like
-    the strict ``<`` scan of :func:`best_strategy` (``np.argmin``
-    returns the first occurrence of the minimum).
+    The winner is :func:`~repro.models.decision.decide`'s: the 2-Step 1
+    bounds never win (so the default model set leaves them out), and
+    ties resolve to the earliest model in registry order.
     """
     if models is None:
-        models = all_strategy_models(machine,
+        models = all_strategy_models(machine, include_best_case=False,
                                      include_extended=include_extended)
-    if exclude_best_case:
-        models = [m for m in models if m.name != "2-Step 1"]
     if not models:
         return ["" for _ in sizes]
     labels, times = fused_scenario_times(machine, [scenario], sizes, models)
-    return [labels[i] for i in np.argmin(times[:, 0, :], axis=0)]
+    return decide(labels, times[:, 0, :]).winner.tolist()
 
 
 def best_strategy(machine: MachineSpec, scenario: Scenario, msg_size: float,
                   models: Optional[List[StrategyModel]] = None,
-                  exclude_best_case: bool = True,
                   include_extended: bool = False) -> str:
-    """Label of the minimum-time strategy at one point.
-
-    ``exclude_best_case`` drops the 2-Step 1 idealizations, matching how
-    the paper circles its minima.
-    """
+    """Label of the winning strategy at one point (see
+    :func:`best_strategy_sweep`)."""
     return best_strategy_sweep(machine, scenario, [msg_size], models,
-                               exclude_best_case=exclude_best_case,
                                include_extended=include_extended)[0]

@@ -570,10 +570,11 @@ class StrategySpec:
     time so this module never imports ``repro.core`` (which imports it
     back through the selector).  ``best_case`` marks analytic bounds
     with no DES implementation (2-Step 1): present in model sweeps,
-    absent from the selector.  ``extended`` marks the hierarchy-aware
-    families added on top of the paper's Table 5 — excluded from
-    paper-reproduction surfaces by default, opted into via
-    ``all_strategy_models(include_extended=True)``.
+    absent from the selector, never a winner in
+    :func:`repro.models.decision.decide`.  ``extended`` marks the
+    hierarchy-aware families added on top of the paper's Table 5 —
+    excluded from paper-reproduction surfaces by default, opted into
+    via ``all_strategy_models(include_extended=True)``.
     """
 
     label: str
@@ -585,6 +586,10 @@ class StrategySpec:
     @property
     def has_impl(self) -> bool:
         return self.impl_ref is not None
+
+    @property
+    def device_aware(self) -> bool:
+        return self.model_cls.data_path == DEVICE
 
     def impl_factory(self):
         """The DES strategy class behind this row (lazy import)."""

@@ -1,5 +1,7 @@
 """Atlas artifact format: roundtrip, byte-determinism, failure modes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,6 @@ from repro.atlas import (
     Atlas,
     AtlasFormatError,
     AtlasGridSpec,
-    decode_winner_runs,
-    encode_winner_runs,
     load_atlas,
     read_header,
     save_atlas,
@@ -22,27 +22,31 @@ def tiny_atlas(seed: int = 3) -> Atlas:
     labels = ["A (staged)", "B (staged)", "C (device-aware)"]
     rng = np.random.default_rng(seed)
     times = rng.uniform(1e-6, 1e-3, (len(labels),) + spec.shape)
-    return Atlas(machine="lassen", spec=spec, labels=labels, times=times,
-                 winners_idx=np.argmin(times, axis=0))
+    return Atlas(machine="lassen", spec=spec, labels=labels, times=times)
 
 
-class TestWinnerRuns:
-    def test_roundtrip(self):
-        grid = np.array([[0, 0, 1], [1, 1, 2]])
-        runs = encode_winner_runs(grid)
-        assert runs == [[2, 0], [3, 1], [1, 2]]
-        assert np.array_equal(decode_winner_runs(runs, grid.shape), grid)
+def rewrite_header(path, edit, sign) -> None:
+    """Drop a saved artifact's header digest, update the header with
+    ``edit`` and, if ``sign``, digest it again as a writer would."""
+    from repro.atlas.artifact import _header_digest
+    from repro.obs.ledger import canonical_dumps
 
-    def test_constant_grid_is_one_run(self):
-        grid = np.zeros((4, 5), dtype=np.int64)
-        assert encode_winner_runs(grid) == [[20, 0]]
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head[len(b"RPRATLAS "):])
+    header.pop("header_sha256")
+    header.update(edit)
+    if sign:
+        header["header_sha256"] = _header_digest(header)
+    path.write_bytes(b"RPRATLAS " + canonical_dumps(header).encode()
+                     + b"\n" + payload)
 
-    def test_empty(self):
-        assert encode_winner_runs(np.empty((0,), dtype=np.int64)) == []
 
-    def test_coverage_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            decode_winner_runs([[3, 0]], (2, 2))
+def test_frontier_counts_winner_changes():
+    atlas = tiny_atlas()
+    flat = atlas.winners_idx.reshape(-1).tolist()
+    assert atlas.frontier_cells() == sum(a != b for a, b in zip(flat,
+                                                                flat[1:]))
+    assert sum(atlas.winner_counts().values()) == atlas.cells
 
 
 class TestRoundtrip:
@@ -57,6 +61,9 @@ class TestRoundtrip:
         assert loaded.spec == atlas.spec
         assert np.array_equal(loaded.times, atlas.times)
         assert np.array_equal(loaded.winners_idx, atlas.winners_idx)
+        # the tensor is the whole content: no stored winner copy
+        assert set(header) == {"schema", "machine", "axes", "labels",
+                               "tensor", "header_sha256"}
 
     def test_two_saves_are_byte_identical(self, tmp_path):
         atlas = tiny_atlas()
@@ -77,10 +84,7 @@ class TestRoundtrip:
         atlas = tiny_atlas()
         with pytest.raises(ValueError, match="times tensor shape"):
             Atlas(machine="m", spec=atlas.spec, labels=atlas.labels,
-                  times=atlas.times[:, :1], winners_idx=atlas.winners_idx)
-        with pytest.raises(ValueError, match="winners_idx shape"):
-            Atlas(machine="m", spec=atlas.spec, labels=atlas.labels,
-                  times=atlas.times, winners_idx=atlas.winners_idx[:1])
+                  times=atlas.times[:, :1])
 
 
 class TestFailureModes:
@@ -116,45 +120,59 @@ class TestFailureModes:
         with pytest.raises(AtlasFormatError, match="checksum"):
             load_atlas(str(saved))
 
-    def test_future_schema_names_both_versions(self, saved):
-        blob = saved.read_bytes()
-        head, payload = blob.split(b"\n", 1)
-        head = head.replace(b'"schema":%d' % ATLAS_SCHEMA,
-                            b'"schema":%d' % (ATLAS_SCHEMA + 1))
-        saved.write_bytes(head + b"\n" + payload)
-        with pytest.raises(AtlasFormatError) as exc:
+    @pytest.mark.parametrize("edit,sign,match", [
+        # a future writer signs its header; schema 1 carried no digest
+        ({"schema": ATLAS_SCHEMA + 1}, True,
+         f"schema {ATLAS_SCHEMA + 1} .*expects {ATLAS_SCHEMA}"),
+        ({"schema": 1}, False, f"schema 1 .*expects {ATLAS_SCHEMA}"),
+        ({}, False, "missing 'header_sha256'"),
+        # a signed header from a writer with a bug
+        ({"tensor": []}, True, "invalid header field"),
+        ({"labels": 5}, True, "invalid header field"),
+        ({"axes": {"node_counts": "x"}}, True, "invalid header field"),
+    ], ids=["future-schema", "schema-1", "no-digest", "tensor-list",
+            "labels-int", "axes-str"])
+    def test_rewritten_header(self, saved, edit, sign, match):
+        rewrite_header(saved, edit, sign)
+        with pytest.raises(AtlasFormatError, match=match):
             load_atlas(str(saved))
-        message = str(exc.value)
-        assert str(ATLAS_SCHEMA + 1) in message
-        assert f"expects {ATLAS_SCHEMA}" in message
 
     def test_unreadable_header_json(self, saved):
         saved.write_bytes(b"RPRATLAS {not json\n")
         with pytest.raises(AtlasFormatError, match="unreadable header"):
             load_atlas(str(saved))
 
-    def test_winner_encoding_must_match_argmin(self, saved, tmp_path):
-        # flip one winner run so the RLE disagrees with the tensor
-        import json
-
-        blob = saved.read_bytes()
-        head, payload = blob.split(b"\n", 1)
-        header = json.loads(head[len(b"RPRATLAS "):])
-        header["winners_rle"][0][1] = (header["winners_rle"][0][1] + 1) % 3
-        from repro.obs.ledger import canonical_dumps
-
-        forged = (b"RPRATLAS " + canonical_dumps(header).encode() + b"\n"
-                  + payload)
-        bad = tmp_path / "forged.atlas"
-        bad.write_bytes(forged)
-        with pytest.raises(AtlasFormatError, match="argmin"):
-            load_atlas(str(bad))
-
     def test_error_message_names_reader_schema(self, saved):
         saved.write_bytes(b"junk")
         with pytest.raises(AtlasFormatError,
                            match=f"atlas schema {ATLAS_SCHEMA} reader"):
             load_atlas(str(saved))
+
+
+def test_every_flip_and_truncation_loads_equal_or_fails_cleanly(tmp_path):
+    """Every header bit flipped, one bit per payload byte flipped, every
+    truncation: an equal atlas or an AtlasFormatError, nothing else."""
+    atlas = tiny_atlas()
+    path = tmp_path / "t.atlas"
+    save_atlas(atlas, str(path))
+    blob = path.read_bytes()
+    head = blob.index(b"\n") + 1
+    flips = [(pos, 1 << bit) for pos in range(head) for bit in range(8)]
+    flips += [(pos, 1 << pos % 8) for pos in range(head, len(blob))]
+    mutants = [blob[:pos] + bytes([blob[pos] ^ mask]) + blob[pos + 1:]
+               for pos, mask in flips]
+    errors = 0
+    for mutant in mutants + [blob[:cut] for cut in range(len(blob))]:
+        path.write_bytes(mutant)
+        try:
+            loaded = load_atlas(str(path))
+        except AtlasFormatError:
+            errors += 1
+            continue
+        assert (loaded.machine, loaded.spec, loaded.labels) == (
+            atlas.machine, atlas.spec, atlas.labels)
+        assert np.array_equal(loaded.times, atlas.times)
+    assert errors > len(blob)
 
 
 class TestGridSpec:

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.atlas import AtlasGridSpec, AtlasIndex, build_atlas, default_grid
+from repro.atlas import (
+    MARGIN_BAND,
+    AtlasGridSpec,
+    AtlasIndex,
+    build_atlas,
+    default_grid,
+)
 from repro.atlas import lookup as atlas_lookup
 from repro.machine import resolve_machine
+from repro.models.decision import decide
 from repro.models.scenarios import Scenario, best_strategy
 from repro.obs.metrics import MetricsRegistry
 
@@ -95,32 +102,30 @@ class TestFallback:
         with pytest.raises(ValueError, match=f"got .*{bad!r}"):
             index.lookup(Scenario(num_dest_nodes=4, num_messages=32), bad)
 
-    def test_margin_band_forces_exact_near_frontiers(self):
+    def test_the_band_splits_interpolated_queries(self):
+        """Off-grid queries whose interpolated margin falls inside the
+        band answer exactly; the rest answer from the atlas."""
         machine = resolve_machine("lassen")
-        # an absurdly wide band: every interpolated query must fall back
-        index = AtlasIndex(build_atlas(machine, spec=SPEC),
-                           margin_band=1e9)
-        answer = index.query(8, 100, 5_000.0, dup_fraction=0.1)
-        assert answer.source == "exact-margin"
-        assert answer.interpolated  # fallback *cause* was interpolation
-        assert answer.winner == best_strategy(
-            machine, Scenario(num_dest_nodes=8, num_messages=100,
-                              dup_fraction=0.1), 5_000.0)
-        assert index.counters()["atlas.fallbacks.margin"] == 1
-        # ...but on-grid queries still never fall back, whatever the band
+        index = AtlasIndex(build_atlas(machine, spec=SPEC))
+        seen = {"exact-margin": 0, "atlas": 0}
+        for nodes, msgs in ((5, 40), (8, 100), (12, 200)):
+            scenario = Scenario(num_dest_nodes=nodes, num_messages=msgs)
+            for size in np.logspace(1, 6, 13):
+                times, interpolated = index._grid_times(scenario, size)
+                inside = decide(index.atlas.labels, times).margin < MARGIN_BAND
+                answer = index.lookup(scenario, size)
+                assert interpolated and answer.interpolated
+                assert answer.source == ("exact-margin" if inside
+                                         else "atlas")
+                if inside:
+                    assert answer.winner == best_strategy(machine, scenario,
+                                                          size)
+                seen[answer.source] += 1
+        assert all(seen.values()), seen  # the grid has both kinds
+        assert index.counters()["atlas.fallbacks.margin"] == \
+            seen["exact-margin"]
         on_grid = index.lookup(SPEC.scenario_at(0, 0, 0), SPEC.sizes[0])
-        assert on_grid.source == "atlas"
-
-    def test_zero_band_never_falls_back_on_margin(self):
-        index = AtlasIndex(build_atlas(resolve_machine("lassen"),
-                                       spec=SPEC), margin_band=0.0)
-        index.query(8, 100, 5_000.0, dup_fraction=0.1)
-        assert index.counters()["atlas.fallbacks.margin"] == 0
-
-    def test_negative_band_rejected(self):
-        with pytest.raises(ValueError, match="margin_band"):
-            AtlasIndex(build_atlas(resolve_machine("lassen"), spec=SPEC),
-                       margin_band=-0.1)
+        assert on_grid.source == "atlas"  # on-grid never falls back
 
 
 class TestCounters:

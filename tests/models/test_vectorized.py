@@ -83,15 +83,11 @@ def test_empty_pattern_sweeps_to_zero():
         assert times[1] > 0.0
 
 
-@pytest.mark.parametrize("exclude_best_case", [True, False])
-def test_best_strategy_sweep_matches_scalar_scan(exclude_best_case):
+def test_best_strategy_sweep_matches_scalar_scan():
     machine = lassen()
     for sc in SCENARIOS:
-        swept = best_strategy_sweep(machine, sc, SIZES,
-                                    exclude_best_case=exclude_best_case)
-        pointwise = [best_strategy(machine, sc, s,
-                                   exclude_best_case=exclude_best_case)
-                     for s in SIZES]
+        swept = best_strategy_sweep(machine, sc, SIZES)
+        pointwise = [best_strategy(machine, sc, s) for s in SIZES]
         assert swept == pointwise
 
 

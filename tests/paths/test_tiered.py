@@ -16,10 +16,10 @@ import pytest
 
 from repro.machine.locality import Locality, TransportKind
 from repro.machine.presets import frontier_like, lassen, resolve_machine
-from repro.models.regime_map import compute_regime_map
 from repro.models.scenarios import (
     PAPER_SCENARIOS,
     Scenario,
+    fused_scenario_times,
     scenario_summary,
     sweep_scenario,
 )
@@ -48,11 +48,12 @@ class TestFlatGoldens:
     @pytest.mark.parametrize("name", MACHINES)
     def test_fused_sweep_reproduces_golden(self, name):
         m = resolve_machine(name)
-        rm = compute_regime_map(m, sizes=list(np.logspace(1, 6, 6)),
-                                node_counts=(2, 8, 32),
-                                exclude_best_case=False, keep_times=True)
-        for i, label in enumerate(rm.labels):
-            got = [float.hex(float(t)) for t in rm.times[i].ravel()]
+        scenarios = [Scenario(num_dest_nodes=n, num_messages=max(256, n))
+                     for n in (2, 8, 32)]
+        labels, times = fused_scenario_times(
+            m, scenarios, list(np.logspace(1, 6, 6)))
+        for i, label in enumerate(labels):
+            got = [float.hex(float(t)) for t in times[i].ravel()]
             assert got == GOLDEN[f"tier_flat/{name}/fused/{label}"], label
 
     @pytest.mark.parametrize("name", MACHINES)

@@ -56,6 +56,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "on frontier-like" in out and "best" in out
 
+    @staticmethod
+    def _marked(out):
+        marked = [line for line in out.splitlines() if "<= best" in line]
+        assert len(marked) == 1, out
+        return marked[0][2:32].strip()
+
+    def test_predict_never_marks_an_analytic_bound(self, capsys):
+        assert main(["predict", "2", "32", "10", "--machine", "lassen"]) == 0
+        out = capsys.readouterr().out
+        assert "2-Step 1 (staged)" in out  # printed, but never the pick
+        assert self._marked(out) == "2-Step (staged)"
+
+    def test_predict_mark_is_best_strategy(self, capsys):
+        import numpy as np
+
+        from repro.machine import resolve_machine
+        from repro.models.scenarios import Scenario, best_strategy
+
+        for name in ("lassen", "summit", "frontier_like"):
+            machine = resolve_machine(name)
+            for nodes in (2, 4, 16, 32):
+                for msgs in (32, 256, 1024):
+                    for size in np.logspace(1, 6, 11):
+                        assert main(["predict", str(nodes), str(msgs),
+                                     repr(float(size)), "--machine",
+                                     name]) == 0
+                        expected = best_strategy(
+                            machine, Scenario(num_dest_nodes=nodes,
+                                              num_messages=msgs), size)
+                        got = self._marked(capsys.readouterr().out)
+                        assert got == expected, (name, nodes, msgs, size)
+
     def test_predict_usage_error(self):
         with pytest.raises(SystemExit):
             main(["predict", "16"])
