@@ -99,6 +99,8 @@ class CommPattern:
                 self._recvs.setdefault(dest, {})[src] = idx
         #: ``gpus_per_node -> node_dedup`` maps (see :meth:`node_dedup`)
         self._dedup: Dict[int, DedupMaps] = {}
+        #: ``gpus_per_node -> summary`` (see :meth:`summarize`)
+        self._summaries: Dict[int, PatternSummary] = {}
 
     # -- raw access ----------------------------------------------------------
     def sends_of(self, src_gpu: int) -> Dict[int, np.ndarray]:
@@ -235,7 +237,20 @@ class CommPattern:
                 for key, (union, _pos) in self.node_dedup(layout).items()}
 
     def summarize(self, layout: JobLayout) -> PatternSummary:
-        """Table-7 quantities of the busiest node (model input)."""
+        """Table-7 quantities of the busiest node (model input).
+
+        Like :meth:`node_dedup`, the summary depends on the layout only
+        through its GPUs per node, so it is computed once per value; the
+        summary is frozen, so callers may share it.
+        """
+        self.node_of_gpu(layout)  # checks the layout's size on every call
+        gpn = layout.machine.gpus_per_node
+        summary = self._summaries.get(gpn)
+        if summary is None:
+            summary = self._summaries[gpn] = self._summarize(layout)
+        return summary
+
+    def _summarize(self, layout: JobLayout) -> PatternSummary:
         node_of = self.node_of_gpu(layout)
         num_nodes = max(node_of, default=0) + 1
         pair = self.node_pair_traffic(layout)

@@ -17,7 +17,10 @@ Two tiers:
   completed shards.  The default location is ``.repro-cache/`` (or
   ``$REPRO_CACHE_DIR``); both are gitignored.
 
-Keys are built with :func:`cache_key`, values must be picklable.  The
+Keys are built with :func:`cache_key`, values must be picklable.  Array
+payloads are hashed in place, never copied.  ``tests/par/test_cache.py``
+pins the encoding with literal digests: any change to the bytes
+:func:`stable_fingerprint` hashes must bump :data:`CACHE_SCHEMA`.  The
 disk tier is written by the *parent* process only (the executor gathers
 results first), so no cross-process write coordination is needed.
 """
@@ -30,7 +33,7 @@ import hashlib
 import os
 import pickle
 import struct
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,75 +58,112 @@ def default_cache_dir() -> str:
 # ---------------------------------------------------------------------------
 # Stable fingerprinting
 # ---------------------------------------------------------------------------
-def _encode(obj: Any) -> Iterator[bytes]:
-    """Yield a canonical, type-tagged byte encoding of ``obj``.
+#: array payloads of at least this many bytes are hashed straight from
+#: the array's buffer instead of being appended to the pending bytes
+_IN_PLACE_BYTES = 1 << 16
+
+
+def _unsupported(obj: Any) -> TypeError:
+    return TypeError(
+        f"cannot fingerprint {type(obj).__name__!r} value {obj!r}; "
+        f"pass plain data (numbers, strings, arrays, dataclasses, "
+        f"containers)")
+
+
+def _encoded(obj: Any) -> bytes:
+    """The whole encoding of ``obj`` as one bytes object (for sorting)."""
+    out = bytearray()
+    _write(obj, out)
+    return bytes(out)
+
+
+def _write(obj: Any, out: bytearray, h: Any = None) -> None:
+    """Append a canonical, type-tagged byte encoding of ``obj`` to ``out``.
 
     Collision-resistant across types (every value is tagged), stable
     across processes and Python versions (no ``hash()``, no ``repr`` of
-    floats), and insensitive to dict insertion order.
+    floats, no object-dtype arrays, whose bytes are pointers), and
+    insensitive to dict insertion order.  With ``h``, the hash that
+    ``out`` feeds, an array payload of :data:`_IN_PLACE_BYTES` or more
+    goes to ``h`` straight from the array's buffer once the pending
+    bytes in ``out`` are flushed to it, so it is never copied.  Dict
+    keys and set items are encoded whole, without ``h``: their
+    encodings are sorted.
     """
     if obj is None:
-        yield b"N"
+        out += b"N"
     elif isinstance(obj, bool):
-        yield b"b1" if obj else b"b0"
+        out += b"b1" if obj else b"b0"
     elif isinstance(obj, int):
-        yield b"i" + str(obj).encode()
+        out += b"i" + str(obj).encode()
     elif isinstance(obj, float):
-        yield b"f" + struct.pack(">d", obj)
+        out += b"f" + struct.pack(">d", obj)
     elif isinstance(obj, str):
         raw = obj.encode("utf-8")
-        yield b"s" + str(len(raw)).encode() + b":" + raw
+        out += b"s" + str(len(raw)).encode() + b":" + raw
     elif isinstance(obj, bytes):
-        yield b"y" + str(len(obj)).encode() + b":" + obj
+        out += b"y" + str(len(obj)).encode() + b":" + obj
     elif isinstance(obj, enum.Enum):
-        yield b"e" + type(obj).__name__.encode() + b"." + obj.name.encode()
+        out += b"e" + type(obj).__name__.encode() + b"." + obj.name.encode()
     elif isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:
+            raise _unsupported(obj)
         arr = np.ascontiguousarray(obj)
-        yield (b"a" + arr.dtype.str.encode() + b"|"
-               + str(arr.shape).encode() + b"|")
-        yield arr.tobytes()
+        out += (b"a" + arr.dtype.str.encode() + b"|"
+                + str(arr.shape).encode() + b"|")
+        if h is not None and arr.nbytes >= _IN_PLACE_BYTES:
+            h.update(out)
+            out.clear()
+            h.update(arr.reshape(-1).view(np.uint8))
+        else:
+            out += arr.tobytes()
     elif isinstance(obj, np.generic):
-        yield from _encode(obj.item())
+        _write(obj.item(), out, h)
     elif isinstance(obj, (list, tuple)):
-        yield b"(" if isinstance(obj, tuple) else b"["
+        out += b"(" if isinstance(obj, tuple) else b"["
         for item in obj:
-            yield from _encode(item)
-            yield b","
-        yield b")" if isinstance(obj, tuple) else b"]"
+            _write(item, out, h)
+            out += b","
+        out += b")" if isinstance(obj, tuple) else b"]"
     elif isinstance(obj, (set, frozenset)):
-        yield b"{"
-        for blob in sorted(b"".join(_encode(item)) for item in obj):
-            yield blob
-            yield b","
-        yield b"}"
+        out += b"{"
+        for blob in sorted(_encoded(item) for item in obj):
+            out += blob
+            out += b","
+        out += b"}"
     elif isinstance(obj, dict):
-        yield b"<"
-        pairs = sorted(
-            (b"".join(_encode(k)), b"".join(_encode(v)))
-            for k, v in obj.items()
-        )
-        for kb, vb in pairs:
-            yield kb + b"=" + vb + b";"
-        yield b">"
+        out += b"<"
+        pairs = sorted(((_encoded(k), v) for k, v in obj.items()),
+                       key=lambda pair: pair[0])
+        if len({kb for kb, _v in pairs}) == len(pairs):
+            for kb, v in pairs:
+                out += kb
+                out += b"="
+                _write(v, out, h)
+                out += b";"
+        else:
+            # distinct keys with one encoding (two NaNs): the value's
+            # encoding breaks the tie
+            for kb, vb in sorted((kb, _encoded(v)) for kb, v in pairs):
+                out += kb + b"=" + vb + b";"
+        out += b">"
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        yield b"D" + type(obj).__qualname__.encode() + b"("
+        out += b"D" + type(obj).__qualname__.encode() + b"("
         for f in dataclasses.fields(obj):
-            yield f.name.encode() + b"="
-            yield from _encode(getattr(obj, f.name))
-            yield b","
-        yield b")"
+            out += f.name.encode() + b"="
+            _write(getattr(obj, f.name), out, h)
+            out += b","
+        out += b")"
     else:
-        raise TypeError(
-            f"cannot fingerprint {type(obj).__name__!r} value {obj!r}; "
-            f"pass plain data (numbers, strings, arrays, dataclasses, "
-            f"containers)")
+        raise _unsupported(obj)
 
 
 def stable_fingerprint(obj: Any) -> str:
     """SHA-256 hex digest of the canonical encoding of ``obj``."""
     h = hashlib.sha256()
-    for chunk in _encode(obj):
-        h.update(chunk)
+    out = bytearray()
+    _write(obj, out, h)
+    h.update(out)
     return h.hexdigest()
 
 

@@ -96,6 +96,27 @@ class TestNodeViews:
         s = p.summarize(layout)
         assert s.is_empty
 
+    def test_summary_memo_is_per_gpus_per_node(self):
+        # lassen (4 GPUs per node) and summit (6) summarize the same
+        # pattern differently; the memo returns a fresh call's summary
+        # for each, in either call order
+        sends = {0: {4: np.array([0, 2, 4]), 5: np.array([2, 3]),
+                     6: np.array([1, 2])},
+                 7: {0: np.array([5, 9])}}
+        layouts = [JobLayout(lassen(), 2, 8), JobLayout(summit(), 2, 12)]
+        for order in (layouts, layouts[::-1]):
+            p = CommPattern(8, sends)
+            for lay in order + order:
+                assert p.summarize(lay) == CommPattern(8, sends).summarize(lay)
+        assert p.summarize(layouts[0]) != p.summarize(layouts[1])
+
+    def test_summary_memo_still_checks_the_layout_size(self):
+        p = CommPattern(12, {0: {4: np.array([0])}})
+        p.summarize(JobLayout(lassen(), 3, 4))         # fills the memo
+        for _ in range(2):
+            with pytest.raises(ValueError, match="spans"):
+                p.summarize(JobLayout(lassen(), 2, 4))  # same gpus_per_node
+
     def test_pattern_larger_than_layout_rejected(self, layout):
         p = CommPattern(64, {0: {63: np.array([0])}})
         with pytest.raises(ValueError, match="spans"):

@@ -1,5 +1,6 @@
 """Content hashing and the two-tier result cache."""
 
+import hashlib
 import os
 import pickle
 from dataclasses import dataclass
@@ -8,6 +9,8 @@ from enum import Enum
 import numpy as np
 import pytest
 
+from repro.core.pattern import CommPattern
+from repro.machine.presets import resolve_machine
 from repro.par.cache import (
     CACHE_SCHEMA,
     ENV_CACHE_DIR,
@@ -73,6 +76,101 @@ class TestStableFingerprint:
     def test_unfingerprintable_raises(self):
         with pytest.raises(TypeError, match="cannot fingerprint"):
             stable_fingerprint(object())
+
+    @pytest.mark.parametrize("value", [
+        np.array([1, "a"], dtype=object),
+        {"a": np.array([None])},
+        np.zeros(2, dtype=[("x", "f8"), ("o", "O")]),
+    ])
+    def test_object_arrays_raise(self, value):
+        # their bytes are pointer addresses, different in every process
+        with pytest.raises(TypeError, match="cannot fingerprint"):
+            stable_fingerprint(value)
+
+    def test_large_payload_hashes_as_its_bytes(self):
+        # a payload hashed in place encodes exactly as its bytes would
+        big = np.arange(20000, dtype=np.float64)
+        header = b"a<f8|(20000,)|"
+        assert stable_fingerprint(big) == \
+            hashlib.sha256(header + big.tobytes()).hexdigest()
+        # ... also when it is a strided view that must be made contiguous
+        view = np.arange(40000, dtype=np.float64)[::2]
+        assert stable_fingerprint(view) == stable_fingerprint(view.copy())
+
+
+def _nan_keyed(order):
+    """A dict with two distinct NaN keys, inserted in ``order``."""
+    first, second = float("nan"), float("nan")
+    items = [(first, np.arange(20000, dtype=np.float64)), (second, "small")]
+    return dict(items if order == "forward" else items[::-1])
+
+
+#: digests computed by the encoder this file pins; a change to any of
+#: them changes every cache key, so it must come with a CACHE_SCHEMA bump
+GOLDEN = {
+    "nested": "f0bceafc450b03e8c02b13be3aa66e9090421d572902a082d4fa1785e5ad8c23",
+    "empty2d": "ca172066706fb065f0e73d68b1d78a4666497c190ef69cfe561e3fa66c942348",
+    "zerod": "28103a18542ebd19e70944977069fe5463386cc43b8efb1f176d6a9cbcaabbd5",
+    "fortran": "f872bbb7e55a5a154fcd3cad1d50ffa1a3344dba1b6fda44e2431e33b3875b53",
+    "large": "6fd9645d5e1188a7b6e6c77ce8231efa5622766e444928712f3d2b9036615718",
+    "enum": "04a72ec245bb7357d67d832d49f4433ba435f0e6dc6c4a20545c71209b3bc84a",
+    "dataclass": "c58817e99af429d305da81254e6be74217e4c52f97196bb6460c710c207f7a26",
+    "lassen": "70d9324139b1f96d16c9722948385702b57eb4d67d03cdf81b1c0c6f05ead84a",
+    "summit": "10c7158376341cf214cd91b249b3f52e6d39616a88be294b8b845db378ba9069",
+    "frontier_like": "5813d39e7afd3ffc590167b45a0160d375457b92a86dadb6fb7d43ce695c9bb1",
+    "audikw_1": "342c389fc632b04d620f8321dfc9eb6fc119016c2c38b8491349bc2cf7ac5910",
+    "pattern": "9e4c6552747f8693f4c561071822680b0f7c4ea112af548d0d154e4efca8a99f",
+    "cache_key": "f95ed68d75655bc5bd6b39b8c22b22aacb3dd034ed1ec807f670ffa60b612006",
+    "nan_keys": "37820c132368a4093feff93152612827a23f7e87dda9b9700b6b57c48a6c6d43",
+}
+
+
+class TestGoldenDigests:
+    """Digests pinned as literals: the encoding must not drift."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("nested", {"b": [1, 2.5, None, True, -7],
+                    "a": ("x", b"y", frozenset({3, "z", (1, 2)})),
+                    7: {"inner": [(-1, 0.1)], "set": {2.0, 1.0}},
+                    (1, "k"): np.int64(4)}),
+        ("empty2d", np.zeros((2, 0))),
+        ("zerod", np.array(3.5)),
+        ("fortran", np.asfortranarray(
+            np.arange(6, dtype=np.int32).reshape(2, 3))),
+        ("large", {"v": np.arange(20000, dtype=np.float64),
+                   "w": np.arange(16384, dtype=np.int32)}),
+        ("enum", _Color.RED),
+        ("dataclass", _Point(1.0, 2)),
+    ])
+    def test_value(self, name, value):
+        assert stable_fingerprint(value) == GOLDEN[name]
+
+    @pytest.mark.parametrize("preset", ["lassen", "summit", "frontier_like"])
+    def test_machine_spec(self, preset):
+        assert stable_fingerprint(resolve_machine(preset)) == GOLDEN[preset]
+
+    def test_matrix(self):
+        from repro.sparse.suite import SUITE, matrix_fingerprint
+
+        assert matrix_fingerprint(SUITE["audikw_1"].build(2001)) == \
+            GOLDEN["audikw_1"]
+
+    def test_comm_pattern(self):
+        pattern = CommPattern(8, {0: {1: np.array([5, 99]), 4: np.arange(3)},
+                                  6: {2: np.array([1])}})
+        assert pattern.fingerprint() == GOLDEN["pattern"]
+
+    def test_cache_key(self):
+        assert CACHE_SCHEMA == 2
+        assert cache_key("fig5_1-panel", machine=resolve_machine("lassen"),
+                         matrix="ab" * 32, gpu_counts=(8, 16), ppn=40,
+                         noise_sigma=0.0, seed=3) == GOLDEN["cache_key"]
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_equal_key_encodings_tie_break_on_the_value(self, order):
+        value = _nan_keyed(order)
+        assert len(value) == 2
+        assert stable_fingerprint(value) == GOLDEN["nan_keys"]
 
 
 class TestCacheKey:
