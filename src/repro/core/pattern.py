@@ -237,21 +237,15 @@ class CommPattern:
                 for key, (union, _pos) in self.node_dedup(layout).items()}
 
     def summarize(self, layout: JobLayout) -> PatternSummary:
-        """Table-7 quantities of the busiest node (model input).
-
-        Like :meth:`node_dedup`, the summary depends on the layout only
-        through its GPUs per node, so it is computed once per value; the
-        summary is frozen, so callers may share it.
-        """
-        self.node_of_gpu(layout)  # checks the layout's size on every call
+        """Table-7 quantities of the busiest node (model input)."""
+        node_of = self.node_of_gpu(layout)  # also checks the layout's size
+        # Like node_dedup, the summary depends on the layout only through
+        # its GPUs per node, so it is computed once per value; it is
+        # frozen, so callers may share it.
         gpn = layout.machine.gpus_per_node
         summary = self._summaries.get(gpn)
-        if summary is None:
-            summary = self._summaries[gpn] = self._summarize(layout)
-        return summary
-
-    def _summarize(self, layout: JobLayout) -> PatternSummary:
-        node_of = self.node_of_gpu(layout)
+        if summary is not None:
+            return summary
         num_nodes = max(node_of, default=0) + 1
         pair = self.node_pair_traffic(layout)
         # Per-node aggregates.
@@ -272,19 +266,23 @@ class CommPattern:
                 proc_msgs[src] = proc_msgs.get(src, 0) + 1
                 proc_dests.setdefault(src, set()).add(node_of[dest])
         if not pair:
-            return PatternSummary(0, 0, 0.0, 0.0, 0.0, 0, 0)
-        busiest = max(node_bytes, key=lambda n: node_bytes[n])
-        active = len(self.off_node_gpus(layout, busiest))
-        return PatternSummary(
-            num_dest_nodes=max(len(d) for d in node_dests.values()),
-            messages_per_node_pair=max(m for m, _b in pair.values()),
-            bytes_per_node_pair=float(max(b for _m, b in pair.values())),
-            node_bytes=float(max(node_bytes.values())),
-            proc_bytes=float(max(proc_bytes.values(), default=0)),
-            proc_messages=max(proc_msgs.values(), default=0),
-            proc_dest_nodes=max((len(s) for s in proc_dests.values()), default=0),
-            active_gpus=max(active, 1),
-        )
+            summary = PatternSummary(0, 0, 0.0, 0.0, 0.0, 0, 0)
+        else:
+            busiest = max(node_bytes, key=lambda n: node_bytes[n])
+            active = len(self.off_node_gpus(layout, busiest))
+            summary = PatternSummary(
+                num_dest_nodes=max(len(d) for d in node_dests.values()),
+                messages_per_node_pair=max(m for m, _b in pair.values()),
+                bytes_per_node_pair=float(max(b for _m, b in pair.values())),
+                node_bytes=float(max(node_bytes.values())),
+                proc_bytes=float(max(proc_bytes.values(), default=0)),
+                proc_messages=max(proc_msgs.values(), default=0),
+                proc_dest_nodes=max((len(s) for s in proc_dests.values()),
+                                    default=0),
+                active_gpus=max(active, 1),
+            )
+        self._summaries[gpn] = summary
+        return summary
 
     def stats(self, layout: JobLayout) -> "PatternStats":
         """Descriptive statistics of the pattern on a layout."""

@@ -58,11 +58,6 @@ def default_cache_dir() -> str:
 # ---------------------------------------------------------------------------
 # Stable fingerprinting
 # ---------------------------------------------------------------------------
-#: array payloads of at least this many bytes are hashed straight from
-#: the array's buffer instead of being appended to the pending bytes
-_IN_PLACE_BYTES = 1 << 16
-
-
 def _unsupported(obj: Any) -> TypeError:
     return TypeError(
         f"cannot fingerprint {type(obj).__name__!r} value {obj!r}; "
@@ -84,11 +79,10 @@ def _write(obj: Any, out: bytearray, h: Any = None) -> None:
     across processes and Python versions (no ``hash()``, no ``repr`` of
     floats, no object-dtype arrays, whose bytes are pointers), and
     insensitive to dict insertion order.  With ``h``, the hash that
-    ``out`` feeds, an array payload of :data:`_IN_PLACE_BYTES` or more
-    goes to ``h`` straight from the array's buffer once the pending
-    bytes in ``out`` are flushed to it, so it is never copied.  Dict
-    keys and set items are encoded whole, without ``h``: their
-    encodings are sorted.
+    ``out`` feeds, an array payload goes to ``h`` straight from the
+    array's buffer once the pending bytes in ``out`` are flushed to it,
+    so it is never copied.  Dict keys and set items are encoded whole,
+    without ``h``: their encodings are sorted.
     """
     if obj is None:
         out += b"N"
@@ -111,10 +105,10 @@ def _write(obj: Any, out: bytearray, h: Any = None) -> None:
         arr = np.ascontiguousarray(obj)
         out += (b"a" + arr.dtype.str.encode() + b"|"
                 + str(arr.shape).encode() + b"|")
-        if h is not None and arr.nbytes >= _IN_PLACE_BYTES:
+        if h is not None:
             h.update(out)
             out.clear()
-            h.update(arr.reshape(-1).view(np.uint8))
+            h.update(arr)  # C-contiguous: hashes the buffer, no copy
         else:
             out += arr.tobytes()
     elif isinstance(obj, np.generic):

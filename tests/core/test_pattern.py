@@ -96,27 +96,6 @@ class TestNodeViews:
         s = p.summarize(layout)
         assert s.is_empty
 
-    def test_summary_memo_is_per_gpus_per_node(self):
-        # lassen (4 GPUs per node) and summit (6) summarize the same
-        # pattern differently; the memo returns a fresh call's summary
-        # for each, in either call order
-        sends = {0: {4: np.array([0, 2, 4]), 5: np.array([2, 3]),
-                     6: np.array([1, 2])},
-                 7: {0: np.array([5, 9])}}
-        layouts = [JobLayout(lassen(), 2, 8), JobLayout(summit(), 2, 12)]
-        for order in (layouts, layouts[::-1]):
-            p = CommPattern(8, sends)
-            for lay in order + order:
-                assert p.summarize(lay) == CommPattern(8, sends).summarize(lay)
-        assert p.summarize(layouts[0]) != p.summarize(layouts[1])
-
-    def test_summary_memo_still_checks_the_layout_size(self):
-        p = CommPattern(12, {0: {4: np.array([0])}})
-        p.summarize(JobLayout(lassen(), 3, 4))         # fills the memo
-        for _ in range(2):
-            with pytest.raises(ValueError, match="spans"):
-                p.summarize(JobLayout(lassen(), 2, 4))  # same gpus_per_node
-
     def test_pattern_larger_than_layout_rejected(self, layout):
         p = CommPattern(64, {0: {63: np.array([0])}})
         with pytest.raises(ValueError, match="spans"):
@@ -147,6 +126,10 @@ class TestDedup:
         p = CommPattern(12, {0: {1: np.array([0, 1])}})
         assert p.node_dedup(layout) == {}
 
+    SENDS = {0: {4: np.array([0, 2, 4]), 5: np.array([2, 3]),
+                 6: np.array([1, 2])},
+             7: {0: np.array([5, 9])}}
+
     @staticmethod
     def _same_dedup(a, b):
         assert a.keys() == b.keys()
@@ -156,29 +139,46 @@ class TestDedup:
             for dest, where in pos.items():
                 assert np.array_equal(where, b[key][1][dest])
 
-    def test_memo_is_per_gpus_per_node(self):
-        # The memo is keyed by the only layout property node_dedup reads:
+    @staticmethod
+    def _same_summary(a, b):
+        assert a == b
+
+    # node_dedup and summarize memoise per GPUs per node, the only layout
+    # property they read
+    @pytest.mark.parametrize("method, same", [
+        ("node_dedup", "_same_dedup"),
+        ("summarize", "_same_summary"),
+    ], ids=["node_dedup", "summarize"])
+    def test_memo_is_per_gpus_per_node(self, method, same):
         # 4 GPUs per node (lassen) and 6 (summit) group gpu 4 and 5
-        # differently, in either call order.
-        sends = {0: {4: np.array([0, 2, 4]), 5: np.array([2, 3]),
-                     6: np.array([1, 2])},
-                 7: {0: np.array([5, 9])}}
+        # differently; the memo returns a fresh call's result for each,
+        # in either call order
+        same = getattr(self, same)
         layouts = [JobLayout(lassen(), 2, 8), JobLayout(summit(), 2, 12)]
         for order in (layouts, layouts[::-1]):
-            p = CommPattern(8, sends)
+            p = CommPattern(8, self.SENDS)
             for lay in order + order:
-                self._same_dedup(p.node_dedup(lay),
-                                 CommPattern(8, sends).node_dedup(lay))
-        assert set(p.node_dedup(layouts[0])) == {(0, 1), (7, 0)}
-        assert set(p.node_dedup(layouts[1])) == {(0, 1), (7, 0)}
-        assert set(p.node_dedup(layouts[0])[(0, 1)][1]) == {4, 5, 6}
-        assert set(p.node_dedup(layouts[1])[(0, 1)][1]) == {6}
+                same(getattr(p, method)(lay),
+                     getattr(CommPattern(8, self.SENDS), method)(lay))
+        with pytest.raises(AssertionError):
+            same(getattr(p, method)(layouts[0]),
+                 getattr(p, method)(layouts[1]))
 
-    def test_memo_still_checks_the_layout_size(self):
+    @pytest.mark.parametrize("method", ["node_dedup", "summarize"])
+    def test_memo_still_checks_the_layout_size(self, method):
         p = CommPattern(12, {0: {4: np.array([0])}})
-        p.node_dedup(JobLayout(lassen(), 3, 4))        # fills the memo
-        with pytest.raises(ValueError, match="spans"):
-            p.node_dedup(JobLayout(lassen(), 2, 4))    # same gpus_per_node
+        getattr(p, method)(JobLayout(lassen(), 3, 4))      # fills the memo
+        for _ in range(2):
+            with pytest.raises(ValueError, match="spans"):
+                getattr(p, method)(JobLayout(lassen(), 2, 4))  # same gpn
+
+    def test_grouping_follows_gpus_per_node(self):
+        p = CommPattern(8, self.SENDS)
+        lassen_maps = p.node_dedup(JobLayout(lassen(), 2, 8))
+        summit_maps = p.node_dedup(JobLayout(summit(), 2, 12))
+        assert set(lassen_maps) == set(summit_maps) == {(0, 1), (7, 0)}
+        assert set(lassen_maps[(0, 1)][1]) == {4, 5, 6}
+        assert set(summit_maps[(0, 1)][1]) == {6}
 
     def test_callers_cannot_corrupt_the_memo(self, layout):
         sends = {0: {4: np.array([0, 2, 4]), 5: np.array([2, 3, 4])}}

@@ -87,7 +87,7 @@ class TestStableFingerprint:
         with pytest.raises(TypeError, match="cannot fingerprint"):
             stable_fingerprint(value)
 
-    def test_large_payload_hashes_as_its_bytes(self):
+    def test_payload_hashes_as_its_bytes(self):
         # a payload hashed in place encodes exactly as its bytes would
         big = np.arange(20000, dtype=np.float64)
         header = b"a<f8|(20000,)|"
