@@ -3,7 +3,8 @@
 Runs the SpMV communication pattern of the audikw analog through every
 strategy on the simulator ("measured", solid lines in the paper) and
 evaluates the Table-6 models on the same pattern ("modelled", dotted
-lines).  The paper's findings to preserve:
+lines) — the audikw_1 panel of the suite sweep, ``series`` beside
+``model``.  The paper's findings to preserve:
 
 * node-aware models are tight upper bounds (within ~one order);
 * standard-communication models over-predict by roughly an order of
@@ -12,41 +13,41 @@ lines).  The paper's findings to preserve:
 
 from conftest import bench_matrix_n
 
-from repro.bench.figures import fig4_2_data, render_series
+from repro.bench.figures import render_series
+from repro.sparse.suite import suite_sweep
 
 
 def test_fig4_2_model_validation(benchmark, machine):
     gpu_counts = (8, 16, 32)
 
     def run():
-        return fig4_2_data(machine, gpu_counts=gpu_counts,
-                           matrix_n=bench_matrix_n())
+        return suite_sweep(machine, ["audikw_1"], gpu_counts=gpu_counts,
+                           matrix_n=bench_matrix_n())["audikw_1"]
 
-    data = benchmark.pedantic(run, iterations=1, rounds=1)
+    panel = benchmark.pedantic(run, iterations=1, rounds=1)
+    measured, modelled = panel["series"], panel["model"]
     node_aware = ["3-Step (staged)", "2-Step (staged)",
                   "Split + MD (staged)", "Split + DD (staged)"]
-    for gpus, d in data.items():
+    for i, gpus in enumerate(gpu_counts):
         for label in node_aware:
-            ratio = d["model"][label] / d["measured"][label]
+            ratio = modelled[label][i] / measured[label][i]
             # tight upper-bound-ish: same order of magnitude
             assert 0.3 < ratio < 10.0, (gpus, label, ratio)
     # The standard models over-predict increasingly with scale
     # (the paper reports up to an order of magnitude at its scales).
-    ratios = [d["model"]["Standard (device-aware)"]
-              / d["measured"]["Standard (device-aware)"]
-              for d in data.values()]
+    std = "Standard (device-aware)"
+    ratios = [m / t for m, t in zip(modelled[std], measured[std])]
     assert ratios[-1] > 1.5
     assert ratios[-1] > ratios[0]
     benchmark.extra_info["standard_overprediction_by_scale"] = ratios
 
     print()
-    labels = sorted(data[gpu_counts[0]]["measured"])
-    measured = {lbl: [data[g]["measured"][lbl] for g in gpu_counts]
-                for lbl in labels}
-    modelled = {lbl: [data[g]["model"][lbl] for g in gpu_counts]
-                for lbl in labels}
+    labels = sorted(measured)
     print(render_series("Figure 4.2 (measured, DES): audikw analog",
-                        "GPUs", list(gpu_counts), measured, mark_min=True))
+                        "GPUs", list(gpu_counts),
+                        {lbl: measured[lbl] for lbl in labels},
+                        mark_min=True))
     print()
     print(render_series("Figure 4.2 (modelled, Table 6): audikw analog",
-                        "GPUs", list(gpu_counts), modelled))
+                        "GPUs", list(gpu_counts),
+                        {lbl: modelled[lbl] for lbl in labels}))

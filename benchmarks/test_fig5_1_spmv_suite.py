@@ -16,8 +16,8 @@ import pytest
 
 from conftest import bench_matrix_n
 
-from repro.bench.figures import fig5_1_data, render_series
-from repro.sparse.suite import SUITE
+from repro.bench.figures import render_series
+from repro.sparse.suite import SUITE, suite_sweep
 
 GPU_COUNTS = (8, 16, 32)
 #: Destination-node counts below which the paper expects standard
@@ -29,7 +29,7 @@ FEW_NODES = 4
 @pytest.mark.parametrize("name", list(SUITE))
 def test_fig5_1_matrix(benchmark, machine, name):
     def run():
-        return fig5_1_data(machine, matrices=[name], gpu_counts=GPU_COUNTS,
+        return suite_sweep(machine, matrices=[name], gpu_counts=GPU_COUNTS,
                            matrix_n=bench_matrix_n())
 
     data = benchmark.pedantic(run, iterations=1, rounds=1)[name]
@@ -76,7 +76,7 @@ def test_fig5_1_split_md_wins_majority(benchmark, machine):
     modal winner and staged strategies win the high-count matrices —
     the paper's headline Section-5 result."""
     def run():
-        return fig5_1_data(machine, matrices=list(SUITE),
+        return suite_sweep(machine, matrices=list(SUITE),
                            gpu_counts=(32,), matrix_n=bench_matrix_n())
 
     data = benchmark.pedantic(run, iterations=1, rounds=1)

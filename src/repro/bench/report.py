@@ -17,9 +17,7 @@ from repro.bench.figures import (
     fig2_5_data,
     fig2_6_data,
     fig3_1_data,
-    fig4_2_data,
     fig4_3_data,
-    fig5_1_data,
     render_series,
 )
 from repro.bench.tables import (
@@ -32,7 +30,7 @@ from repro.bench.tables import (
 )
 from repro.machine import resolve_machine
 from repro.models.decision import decide
-from repro.sparse.suite import SUITE
+from repro.sparse.suite import SUITE, suite_sweep
 
 
 def _code(text: str, lang: str = "") -> List[str]:
@@ -44,8 +42,8 @@ def generate(matrix_n: int = 16_000, gpu_counts=(8, 16, 32),
              journal_dir=None, resume: bool = False) -> str:
     """Regenerate the full record.
 
-    ``jobs`` fans the sweep-shaped sections (Figures 4.2, 4.3, 5.1) out
-    over worker processes; ``cache`` (a
+    ``jobs`` fans the two sweeps (the suite sweep behind Figures 4.2
+    and 5.1, and Figure 4.3's) out over worker processes; ``cache`` (a
     :class:`repro.par.ResultCache`) skips shards whose inputs are
     unchanged since the last regeneration.  ``machine`` is a preset
     name from :data:`repro.machine.PRESETS` (Lassen reproduces the
@@ -54,9 +52,12 @@ def generate(matrix_n: int = 16_000, gpu_counts=(8, 16, 32),
 
     ``policy``/``journal_dir``/``resume`` give each sweep section a
     failure policy (watchdog + retry) and a checkpoint journal (see
-    :func:`repro.par.sweep_map`).  Each section journals under its own
+    :func:`repro.par.sweep_map`).  Each sweep journals under its own
     sweep id, so a killed regeneration resumed with ``resume=True``
-    re-executes only the shards that had not yet checkpointed.
+    re-executes only the shards that had not yet checkpointed.  The
+    suite sweep runs once: Figure 4.2 is its audikw_1 panel (DES
+    ``series`` beside Table-6 ``model``) and Figure 5.1 is every panel's
+    ``series``.
     """
     machine = resolve_machine(machine)
     out: List[str] = []
@@ -95,25 +96,26 @@ def generate(matrix_n: int = 16_000, gpu_counts=(8, 16, 32),
     out.extend(_code(render_series("time [s] vs total volume", "bytes",
                                    xs, series)))
 
-    # --- Figure 4.2 --------------------------------------------------------
+    # --- Figure 4.2: the audikw_1 panel of the suite sweep ----------------
+    suite_data = suite_sweep(machine, gpu_counts=gpu_counts,
+                             matrix_n=matrix_n, jobs=jobs, cache=cache,
+                             policy=policy, journal_dir=journal_dir,
+                             resume=resume)
     out.append("### Figure 4.2 — model validation (audikw analog)\n")
-    data = fig4_2_data(machine, gpu_counts=gpu_counts, matrix_n=matrix_n,
-                       jobs=jobs, cache=cache, policy=policy,
-                       journal_dir=journal_dir, resume=resume)
-    labels = sorted(next(iter(data.values()))["measured"])
-    measured = {l: [data[g]["measured"][l] for g in gpu_counts]
-                for l in labels}
-    modelled = {l: [data[g]["model"][l] for g in gpu_counts] for l in labels}
+    audikw = suite_data["audikw_1"]
+    labels = sorted(audikw["series"])
+    measured = {l: audikw["series"][l] for l in labels}
+    modelled = {l: audikw["model"][l] for l in labels}
     out.extend(_code(
         render_series("measured (DES)", "GPUs", list(gpu_counts), measured,
                       mark_min=True)
         + "\n\n"
         + render_series("modelled (Table 6)", "GPUs", list(gpu_counts),
                         modelled)))
-    ratios = [data[g]["model"]["Standard (device-aware)"]
-              / data[g]["measured"]["Standard (device-aware)"]
-              for g in gpu_counts]
-    out.append(f"Standard (device-aware) model/measured ratio by scale: "
+    std = "Standard (device-aware)"
+    ratios = [m / t for m, t in zip(audikw["model"][std],
+                                    audikw["series"][std])]
+    out.append(f"{std} model/measured ratio by scale: "
                + ", ".join(f"{g} GPUs: {r:.1f}x"
                            for g, r in zip(gpu_counts, ratios)) + "\n")
 
@@ -128,10 +130,6 @@ def generate(matrix_n: int = 16_000, gpu_counts=(8, 16, 32),
 
     # --- Figure 5.1 --------------------------------------------------------
     out.append("### Figure 5.1 — SpMV communication across the suite\n")
-    suite_data = fig5_1_data(machine, gpu_counts=gpu_counts,
-                             matrix_n=matrix_n, jobs=jobs, cache=cache,
-                             policy=policy, journal_dir=journal_dir,
-                             resume=resume)
     winners = {}
     for name, d in suite_data.items():
         meta = ", ".join(

@@ -13,6 +13,11 @@ Layers:
 * :mod:`repro.models.scenarios` — Section 4.6 scenario generation
   (Figure 4.3) and pattern summarization for SpMV validation
   (Figure 4.2).
+
+The models are scored against the DES in one place:
+:func:`repro.sparse.suite.measure_matrix_panel` records
+:func:`repro.core.selector.predict_times` beside the measured times of
+every SUITE panel (Figure 4.2 is the audikw_1 panel).
 """
 
 from repro.models.postal import postal_time, max_rate_time

@@ -153,7 +153,7 @@ def build_suite_matrix(name: str, n: int = 0) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# Parallel suite sweep (the Figure 5.1 measurement loop)
+# Parallel suite sweep (the Figure 4.2 / 5.1 measurement loop)
 # ---------------------------------------------------------------------------
 def matrix_fingerprint(matrix: sp.csr_matrix) -> str:
     """Stable content hash of a CSR matrix (for sweep cache keys)."""
@@ -169,18 +169,23 @@ def matrix_fingerprint(matrix: sp.csr_matrix) -> str:
 
 
 def measure_matrix_panel(spec) -> Dict[str, object]:
-    """One Figure-5.1 panel: every strategy at every GPU count.
+    """One Figure-5.1 panel: every strategy at every GPU count, measured
+    on the DES and modelled by Table 6 — the one model-vs-DES record.
 
     ``spec = (machine, matrix, gpu_counts, ppn, noise_sigma, seed)`` —
     module-level and picklable so panels fan out over a process pool.
     The matrix is built once in the parent and shipped to the worker;
-    per-GPU-count partitioning and DES runs happen here.  Returns the
-    ``{"gpus", "series", "meta"}`` dict a Figure-5.1 panel renders.
+    per-GPU-count partitioning and DES runs happen here.  Returns
+    ``{"gpus", "series", "model", "meta"}``: ``series`` and ``model``
+    map each paper-strategy label to one time per GPU count (DES
+    virtual seconds and :func:`~repro.core.selector.predict_times`
+    respectively).  Figure 5.1 renders ``series``; Figure 4.2 is the
+    audikw_1 panel's ``series`` beside its ``model``.
     """
     from typing import List as _List
 
     from repro.core.base import default_data, run_exchange
-    from repro.core.selector import all_strategies
+    from repro.core.selector import all_strategies, predict_times
     from repro.mpi.job import SimJob
     from repro.sparse.distributed import DistributedCSR
 
@@ -189,6 +194,7 @@ def measure_matrix_panel(spec) -> Dict[str, object]:
     series: Dict[str, _List[float]] = {
         s.label: [] for s in all_strategies(include_extended=False)
     }
+    model: Dict[str, _List[float]] = {label: [] for label in series}
     meta: Dict[int, Dict] = {}
     for gpus in gpu_counts:
         nodes = -(-gpus // gpn)  # ceil: the last node may be part-filled
@@ -209,19 +215,25 @@ def measure_matrix_panel(spec) -> Dict[str, object]:
         for strategy in all_strategies(include_extended=False):
             res = run_exchange(job, strategy, pattern, data=data)
             series[strategy.label].append(res.comm_time)
-    return {"gpus": list(gpu_counts), "series": series, "meta": meta}
+        predicted = predict_times(pattern, job.layout, ppn=ppn)
+        for label, times in model.items():
+            times.append(predicted[label])
+    return {"gpus": list(gpu_counts), "series": series, "model": model,
+            "meta": meta}
 
 
 def suite_sweep(machine, matrices=None, gpu_counts=(8, 16, 32, 64),
                 matrix_n: int = 0, ppn: int = 0, noise_sigma: float = 0.0,
                 seed: int = 0, jobs=None, cache=None, policy=None,
                 journal_dir=None, resume: bool = False) -> Dict[str, Dict]:
-    """Measured strategy times per suite matrix, one panel per matrix.
+    """Measured and modelled strategy times per suite matrix, one
+    :func:`measure_matrix_panel` panel per matrix.
 
-    The measurement loop behind Figure 5.1 — each matrix is one shard
-    (built once in the parent, measured across all GPU counts in a
-    worker), fanned out by :func:`repro.par.sweep_map` and gathered in
-    suite order, so results are bit-identical at any ``jobs`` value.
+    The measurement loop behind Figures 4.2 and 5.1 — each matrix is
+    one shard (built once in the parent, measured across all GPU counts
+    in a worker), fanned out by :func:`repro.par.sweep_map` and gathered
+    in suite order, so results are bit-identical at any ``jobs`` value.
+    For Figure 4.2 at another scale, sweep ``matrices=["audikw_1"]``.
     ``cache`` keys panels by matrix content + machine + sweep shape.
     ``policy``/``journal_dir``/``resume`` set the sweep's failure policy
     and checkpoint journal (see :func:`repro.par.sweep_map`).
@@ -238,7 +250,7 @@ def suite_sweep(machine, matrices=None, gpu_counts=(8, 16, 32, 64),
 
     def key_fn(spec):
         m, matrix, counts, p, sigma, s = spec
-        return cache_key("fig5_1-panel", machine=m,
+        return cache_key("suite-panel", machine=m,
                          matrix=matrix_fingerprint(matrix),
                          gpu_counts=counts, ppn=p, noise_sigma=sigma,
                          seed=s)

@@ -7,9 +7,7 @@ from repro.bench import (
     fig2_5_data,
     fig2_6_data,
     fig3_1_data,
-    fig4_2_data,
     fig4_3_data,
-    fig5_1_data,
     render_series,
     render_table2,
     render_table3,
@@ -19,13 +17,28 @@ from repro.bench import (
     table4_data,
 )
 from repro.core.base import default_data, run_exchange, verify_exchange
-from repro.core.selector import all_strategies
+from repro.core.selector import all_strategies, predict_times
 from repro.machine import lassen, resolve_machine
 from repro.mpi.job import SimJob
 from repro.sparse.distributed import DistributedCSR
-from repro.sparse.suite import SUITE
+from repro.sparse.suite import SUITE, suite_sweep
 
 M = lassen()
+
+
+def _assert_model_row_is_predict_times(panel, machine, name, matrix_n,
+                                       ppn):
+    """The panel's ``model`` row has ``series``' labels and is
+    ``predict_times`` on the same cell (job, partition), bit for bit."""
+    assert list(panel["model"]) == list(panel["series"])
+    matrix = SUITE[name].build(matrix_n)
+    for i, gpus in enumerate(panel["gpus"]):
+        nodes = -(-gpus // machine.gpus_per_node)
+        job = SimJob(machine, num_nodes=nodes, ppn=ppn)
+        pattern = DistributedCSR(matrix, num_gpus=gpus).comm_pattern()
+        expected = predict_times(pattern, job.layout, ppn=ppn)
+        assert {label: row[i] for label, row in panel["model"].items()} \
+            == {label: expected[label] for label in panel["series"]}
 
 
 class TestTables:
@@ -72,16 +85,17 @@ class TestFigureData:
             assert len(series) == 10
 
     def test_fig4_2_small(self):
-        data = fig4_2_data(M, gpu_counts=(8,), matrix_n=3000, ppn=8)
-        d = data[8]
-        assert set(d["measured"]) == set(d["model"])
-        assert d["meta"]["nodes"] == 2
+        d = suite_sweep(M, ["audikw_1"], gpu_counts=(8,), matrix_n=3000,
+                        ppn=8)["audikw_1"]
+        assert set(d["series"]) == set(d["model"])
+        # 8 GPUs on 2 lassen nodes: the model row is costed on that job
+        _assert_model_row_is_predict_times(d, M, "audikw_1", 3000, ppn=8)
         # models upper-bound or track measured for node-aware strategies
         for label in ("3-Step (staged)", "Split + MD (staged)"):
-            assert d["model"][label] > 0 and d["measured"][label] > 0
+            assert d["model"][label][0] > 0 and d["series"][label][0] > 0
 
     def test_fig5_1_small(self):
-        data = fig5_1_data(M, matrices=["thermal2"], gpu_counts=(8,),
+        data = suite_sweep(M, matrices=["thermal2"], gpu_counts=(8,),
                            matrix_n=4096, ppn=8)
         d = data["thermal2"]
         assert d["gpus"] == [8]
@@ -91,14 +105,20 @@ class TestFigureData:
     def test_part_filled_last_node_on_summit(self):
         """6 GPUs per node: 8 GPUs need 2 nodes and 16 need 3, not 1 and 2."""
         summit = resolve_machine("summit")
-        panel = fig5_1_data(summit, matrices=["thermal2"], gpu_counts=(8, 16),
+        panel = suite_sweep(summit, matrices=["thermal2"], gpu_counts=(8, 16),
                             matrix_n=4096, ppn=8)["thermal2"]
         assert len(panel["series"]) == 8
         assert all(len(times) == 2 and min(times) > 0
                    for times in panel["series"].values())
-        data = fig4_2_data(summit, gpu_counts=(8, 16), matrix_n=3000, ppn=8)
-        assert [data[g]["meta"]["nodes"] for g in (8, 16)] == [2, 3]
-        assert set(data[16]["measured"]) == set(data[16]["model"])
+        data = suite_sweep(summit, ["audikw_1"], gpu_counts=(8, 16),
+                           matrix_n=3000, ppn=8)["audikw_1"]
+        _assert_model_row_is_predict_times(data, summit, "audikw_1", 3000,
+                                           ppn=8)
+        assert set(data["series"]) == set(data["model"])
+        # a count that fills fewer than 2 nodes is not a panel column
+        with pytest.raises(ValueError, match="< 2 nodes"):
+            suite_sweep(summit, ["audikw_1"], gpu_counts=(6,),
+                        matrix_n=3000, ppn=8)
 
     @pytest.mark.parametrize("gpus, nodes", [(8, 2), (16, 3)])
     def test_every_strategy_delivers_on_a_part_filled_node(self, gpus, nodes):

@@ -16,6 +16,7 @@ from repro.bench.figures import fig4_3_data
 from repro.faults.chaos import run_chaos
 from repro.models.scenarios import PAPER_SCENARIOS, sweep_scenarios
 from repro.par import ResultCache, SweepStats
+from repro.sparse.suite import suite_sweep
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +132,20 @@ class TestFig43Equivalence:
                   cache=cache, key_fn=key_fn, stats=stats)
         assert stats.executed == 0
         assert stats.cache_hits == len(tasks)
+
+
+class TestSuiteSweepEquivalence:
+    def test_warm_cache_panel_carries_the_model_row(self, machine,
+                                                   tmp_path):
+        """A cached suite panel returns DES ``series`` and Table-6
+        ``model`` bit for bit, with no panel re-measured."""
+        kwargs = dict(matrices=["audikw_1"], gpu_counts=(8, 16),
+                      matrix_n=2001, jobs=1)
+        cold = suite_sweep(machine, cache=ResultCache(str(tmp_path)),
+                           **kwargs)
+        warm_cache = ResultCache(str(tmp_path))
+        warm = suite_sweep(machine, cache=warm_cache, **kwargs)
+        assert warm_cache.misses == 0 and warm_cache.hits == 1
+        assert warm == cold
+        assert list(warm["audikw_1"]["model"]) == \
+            list(warm["audikw_1"]["series"])

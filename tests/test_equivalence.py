@@ -14,7 +14,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.bench.figures import fig4_2_data
 from repro.benchpress.pingpong import pingpong_sweep
 from repro.core import all_strategies
 from repro.machine import lassen
@@ -22,7 +21,7 @@ from repro.machine.locality import Locality, TransportKind
 from repro.mpi.job import SimJob
 from repro.sparse.distributed import DistributedCSR
 from repro.sparse.spmv import distributed_spmv
-from repro.sparse.suite import SUITE
+from repro.sparse.suite import SUITE, suite_sweep
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_times.json").read_text())
@@ -50,10 +49,11 @@ def test_pingpong_sweep_bit_identical_to_golden(kind, locality):
 
 
 def test_fig4_2_validation_bit_identical_to_golden():
-    """Measured + modelled Figure-4.2 values match the golden capture."""
-    data = fig4_2_data(lassen(), gpu_counts=(8,), matrix_n=4000)
-    for part in ("measured", "model"):
-        got = {k: _hex(v) for k, v in data[8][part].items()}
+    """Measured + modelled Figure-4.2 values match the golden capture:
+    the audikw_1 suite panel's ``series`` and ``model`` at 8 GPUs."""
+    panel = suite_sweep(lassen(), ["audikw_1"], (8,), 4000)["audikw_1"]
+    for part, row in (("measured", "series"), ("model", "model")):
+        got = {k: _hex(v) for k, (v,) in panel[row].items()}
         assert got == GOLDEN[f"fig4_2/{part}"]
 
 
